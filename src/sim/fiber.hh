@@ -1,6 +1,12 @@
 /**
  * @file
- * Cooperative user-level fibers built on ucontext.
+ * Cooperative user-level fibers.
+ *
+ * On x86-64 a switch is a dozen instructions in fiber.cc: push the
+ * callee-saved registers, MXCSR and the x87 control word, swap the stack
+ * pointer, pop, return. There is no kernel call on the switch path.
+ * Other architectures fall back to ucontext, whose swapcontext() also
+ * saves the signal mask and so costs an rt_sigprocmask syscall.
  *
  * Fibers let application code in the simulator (ping-pong loops, Split-C
  * benchmarks) be written as blocking straight-line code. Exactly one
@@ -11,8 +17,6 @@
 
 #ifndef UNET_SIM_FIBER_HH
 #define UNET_SIM_FIBER_HH
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -71,6 +75,7 @@ class Fiber
     static Fiber *current();
 
   private:
+    /** First frame of every fiber; never returns. */
     static void trampoline();
 
     /** Verify the stack-overflow canary at the low end of the stack. */
@@ -80,18 +85,19 @@ class Fiber
     /** Pooled stack storage: acquired unzeroed from a per-thread free
      *  list and returned on destruction, so fiber churn does not pay
      *  an mmap + page-fault cycle per spawn. Stacks need no zeroing —
-     *  makecontext overwrites what it uses. */
+     *  the constructor writes the first frame the switch pops. */
     RecycledBuffer stack;
-    ucontext_t context;
-    ucontext_t returnContext;
-    bool started = false;
+    /** Saved stack pointer of the suspended fiber. */
+    void *fiberSp = nullptr;
+    /** Saved stack pointer of the run() that resumed the fiber. */
+    void *callerSp = nullptr;
     bool done = false;
     /** Exception that escaped the body, rethrown by run(). */
     std::exception_ptr pendingException;
 
     /** @name ASan fiber-switch bookkeeping (unused without ASan).
      *
-     * ASan shadows each fiber stack with a "fake stack"; every ucontext
+     * ASan shadows each fiber stack with a "fake stack"; every stack
      * switch must be bracketed by __sanitizer_start_switch_fiber /
      * __sanitizer_finish_switch_fiber or ASan attributes the fiber's
      * frames to the caller's stack and every fiber test false-positives.
@@ -103,7 +109,7 @@ class Fiber
 
     /** @name TSan fiber bookkeeping (unused without TSan).
      *
-     * TSan likewise cannot follow a raw swapcontext: each fiber needs
+     * TSan likewise cannot follow a raw stack switch: each fiber needs
      * its own TSan context (__tsan_create_fiber) and every switch must
      * be announced with __tsan_switch_to_fiber, or the race detector
      * attributes one fiber's accesses to another's vector clock and

@@ -1,6 +1,8 @@
 #include "sim/pool.hh"
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "sim/perturb.hh"
 
@@ -8,19 +10,24 @@ namespace unet::sim {
 
 namespace {
 
-/** Retired buffers awaiting reuse, matched by exact (usable) size. */
+/** A retired buffer awaiting reuse. */
 struct PooledBlock
 {
     std::unique_ptr<unsigned char[]> base;
-    std::size_t size;
     std::size_t pad;
 };
 
-thread_local std::vector<PooledBlock> blockPool;
-
-/** Retention cap: enough for a simulation's worth of fibers and
- *  arenas without holding the whole high-water mark forever. */
-constexpr std::size_t blockPoolMax = 32;
+/**
+ * Every retired buffer, keyed by exact (usable) size, oldest first.
+ *
+ * Nothing is ever handed back to malloc. A simulation's fiber stacks and
+ * arenas come in a few sizes and the next simulation asks for the same
+ * ones, so the pool settles at the high-water mark of one simulation. A
+ * cap below that (a 65-host rig holds 65 arenas plus their stacks) sends
+ * the overflow back to malloc after every run and lets the heap layout,
+ * not the workload, decide the peak RSS and the setup time of the next.
+ */
+thread_local std::map<std::size_t, std::vector<PooledBlock>> blockPool;
 
 /** Monotonic draw counter for the salted acquisition decisions. */
 thread_local std::uint64_t acquireCount = 0;
@@ -41,29 +48,20 @@ RecycledBuffer::RecycledBuffer(std::size_t size) : bytes(size)
 {
     const std::uint64_t salt = perturb::salt();
 
-    // Collect the reusable candidates (exact size match).
-    std::size_t matches = 0;
-    for (const PooledBlock &block : blockPool)
-        matches += block.size == size;
-
-    if (matches > 0) {
-        // Unperturbed: newest match (LIFO keeps pages warm). Salted: a
+    auto it = blockPool.find(size);
+    if (it != blockPool.end() && !it->second.empty()) {
+        std::vector<PooledBlock> &blocks = it->second;
+        // Unperturbed: newest block (LIFO keeps pages warm). Salted: a
         // deterministic pseudo-random pick, so block/address pairing
         // differs between salts.
         std::size_t wanted = salt == 0
             ? 0
-            : perturb::mix(salt, ++acquireCount) % matches;
-        for (std::size_t i = blockPool.size(); i-- > 0;) {
-            if (blockPool[i].size != size)
-                continue;
-            if (wanted-- == 0) {
-                base = blockPool[i].base.release();
-                mem = base + blockPool[i].pad;
-                blockPool.erase(blockPool.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                return;
-            }
-        }
+            : perturb::mix(salt, ++acquireCount) % blocks.size();
+        auto pick = blocks.end() - 1 - static_cast<std::ptrdiff_t>(wanted);
+        base = pick->base.release();
+        mem = base + pick->pad;
+        blocks.erase(pick);
+        return;
     }
 
     std::size_t pad = saltedPad(salt);
@@ -73,12 +71,8 @@ RecycledBuffer::RecycledBuffer(std::size_t size) : bytes(size)
 
 RecycledBuffer::~RecycledBuffer()
 {
-    if (blockPool.size() < blockPoolMax)
-        blockPool.push_back({std::unique_ptr<unsigned char[]>(base),
-                             bytes,
-                             static_cast<std::size_t>(mem - base)});
-    else
-        delete[] base;
+    blockPool[bytes].push_back({std::unique_ptr<unsigned char[]>(base),
+                                static_cast<std::size_t>(mem - base)});
 }
 
 } // namespace unet::sim

@@ -42,6 +42,11 @@ TEST(ExploreSeededBug, SaltsMissIt)
     }
 }
 
+// The oracle of the tests below is the "credit underflow" panic, which
+// check/credits.hh compiles out when UNET_CHECK is OFF: the planted bug
+// then has nothing to trip.
+#if defined(UNET_CHECK) && UNET_CHECK
+
 /** Exhaustive exploration finds it, with the full 6-event permutation
  *  space enumerated when the search is not stopped early. */
 TEST(ExploreSeededBug, ExplorationFindsIt)
@@ -130,6 +135,8 @@ TEST(ExploreReplayFile, RoundTrip)
     EXPECT_TRUE(out.violated);
     EXPECT_EQ(out.message, v.message);
 }
+
+#endif // UNET_CHECK
 
 TEST(ExploreReplayFile, RejectsMalformedInput)
 {
