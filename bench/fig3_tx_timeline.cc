@@ -34,7 +34,6 @@ main(int argc, char **argv)
     std::printf("Figure 3: U-Net/FE transmission timeline, 40-byte "
                 "message (60-byte frame)\n");
     std::printf("%-52s %10s %10s\n", "step", "cost (us)", "cum (us)");
-#if UNET_TRACE
     // One message: the sender's Step spans come out in timeline order.
     auto *tr = s.trace();
     double cum = 0, trap = 0;
@@ -55,10 +54,6 @@ main(int argc, char **argv)
                 cum);
     std::printf("trap entry+exit share:    %.0f%%    (paper: ~20%%)\n",
                 cum > 0 ? trap / cum * 100 : 0.0);
-#else
-    std::printf("(tracing compiled out; rebuild with -DUNET_TRACE=ON "
-                "to regenerate the timeline)\n");
-#endif
     outs.write(s);
     return 0;
 }

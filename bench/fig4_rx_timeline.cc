@@ -47,7 +47,6 @@ receiveOnce(std::size_t size, const ObsOutputs *outs = nullptr)
     s.run();
 
     Timeline t;
-#if UNET_TRACE
     // One message: the receiver's Step spans come out in order.
     auto *tr = s.trace();
     tr->forEach([&](const obs::Span &sp) {
@@ -56,7 +55,6 @@ receiveOnce(std::size_t size, const ObsOutputs *outs = nullptr)
             t.emplace_back(tr->nameOf(sp.label),
                            sim::toMicroseconds(sp.end - sp.start));
     });
-#endif
     if (outs)
         outs->write(s);
     return t;
@@ -93,10 +91,6 @@ main(int argc, char **argv)
     ObsOutputs outs(argc, argv);
 
     std::printf("Figure 4: U-Net/FE reception timelines\n\n");
-#if !UNET_TRACE
-    std::printf("(tracing compiled out; rebuild with -DUNET_TRACE=ON "
-                "to regenerate the timelines)\n");
-#endif
     printTimeline("(a) 40-byte message — small-message path "
                   "(paper: ~4.1 us total)",
                   receiveOnce(40, &outs));

@@ -28,7 +28,6 @@ main(int argc, char **argv)
     // sum to the reported RTT (validated by tools/trace_report.py).
     ObsOutputs outs(argc, argv);
     if (outs.requested()) {
-#if UNET_TRACE
         double rtt = roundTripTracedUs(
             Fabric::FeBay, 40, 4, {},
             [&](sim::Simulation &s, double mean) {
@@ -42,11 +41,6 @@ main(int argc, char **argv)
                     "(not exported)\n",
                     atm);
         return rtt > 0 && atm > 0 ? 0 : 1;
-#else
-        std::printf("tracing compiled out; rebuild with -DUNET_TRACE=ON "
-                    "for --trace\n");
-        return 1;
-#endif
     }
 
     std::vector<std::size_t> sizes = {0,   8,   16,  24,  32,  40,

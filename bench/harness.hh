@@ -58,7 +58,6 @@ struct ObsOutputs
     write(sim::Simulation &s) const
     {
         if (tracePath) {
-#if UNET_TRACE
             if (auto *tr = s.trace()) {
                 std::ofstream os(tracePath);
                 obs::writePerfettoJson(os, *tr);
@@ -67,10 +66,6 @@ struct ObsOutputs
             } else {
                 std::printf("# --trace: no trace session enabled\n");
             }
-#else
-            std::printf("# --trace: tracing compiled out; rebuild with "
-                        "-DUNET_TRACE=ON\n");
-#endif
         }
         if (metricsPath) {
             std::ofstream os(metricsPath);
@@ -401,7 +396,6 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
     return measured ? total_us / measured : -1.0;
 }
 
-#if UNET_TRACE
 /**
  * roundTripUs() with a TraceSession enabled and custody stamped so the
  * spans of every measured round tile the round-trip interval exactly:
@@ -505,7 +499,6 @@ roundTripTracedUs(
         after(s, mean);
     return mean;
 }
-#endif // UNET_TRACE
 
 /**
  * Measure one-way streaming bandwidth in Mbit/s of payload for

@@ -352,17 +352,13 @@ ActiveMessages::processInbound(sim::Process &proc,
         if (!handlers[handler]) {
             UNET_WARN("AM: no handler ", static_cast<int>(handler));
         } else {
-#if UNET_TRACE
             auto &simulation = unet.host().simulation();
             sim::Tick h0 = simulation.now();
-#endif
             handlers[handler](proc, token, args, payload);
-#if UNET_TRACE
             if (auto *tr = simulation.trace())
                 tr->record(rd.trace.id, obs::SpanKind::AmHandler,
                            _trackApp, h0, simulation.now(),
                            "am handler");
-#endif
         }
         break;
 

@@ -125,7 +125,6 @@ Injector::decide(std::size_t unit_bits)
 void
 Injector::stamp(const obs::TraceContext &ctx, const Decision &d)
 {
-#if UNET_TRACE
     if (!ctx)
         return;
     if (auto *tr = _sim.trace()) {
@@ -136,10 +135,6 @@ Injector::stamp(const obs::TraceContext &ctx, const Decision &d)
         tr->record(ctx.id, obs::SpanKind::Fault, "fault." + _site,
                    _sim.now(), _sim.now(), what);
     }
-#else
-    (void)ctx;
-    (void)d;
-#endif
 }
 
 void

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "net/crc32_pclmul.hh"
+#include "sim/logging.hh"
 
 namespace unet::net {
 
@@ -77,22 +78,29 @@ constexpr std::size_t hwMinBytes = 64;
 Crc32Backend
 resolveBackend()
 {
-#if UNET_HWCRC
     // Reproducibility kill-switch, read once per process like
     // UNET_PERTURB: forcing the software path lets a CI leg prove the
     // hardware path changes no observable result.
     // nondet-ok(env-read): one-shot backend pick; backends are
     // bit-identical, so the choice affects speed only.
     const char *env = std::getenv("UNET_CRC32"); // NOLINT(concurrency-mt-unsafe)
-    if (env && std::string_view(env) == "soft")
-        return Crc32Backend::software;
-    if (detail::crc32PclmulAvailable())
+    if (!crc32EnvForcesSoftware(env) && detail::crc32PclmulAvailable())
         return Crc32Backend::pclmul;
-#endif
     return Crc32Backend::software;
 }
 
 } // namespace
+
+bool
+crc32EnvForcesSoftware(const char *value)
+{
+    if (!value || !*value)
+        return false;
+    if (std::string_view(value) != "soft")
+        UNET_FATAL("UNET_CRC32=", value,
+                   ": the only accepted value is \"soft\"");
+    return true;
+}
 
 Crc32Backend
 crc32Backend()

@@ -12,8 +12,8 @@
  * wrong polynomial, so folding is the only hardware option for this
  * CRC). Both backends are bit-identical by construction — the backend
  * choice can change speed, never results — and the pick is made once
- * per process: compile-time via the UNET_HWCRC CMake option,
- * run-time via UNET_CRC32=soft.
+ * per process at run time: the CPUID check picks PCLMUL when the host
+ * has it, and UNET_CRC32=soft forces the software path.
  */
 
 #ifndef UNET_NET_CRC32_HH
@@ -33,6 +33,13 @@ enum class Crc32Backend : std::uint8_t {
 /** The backend the process resolved on first use (see file header). */
 Crc32Backend crc32Backend();
 
+/**
+ * Parse a UNET_CRC32 value: null or empty keeps the run-time dispatch,
+ * "soft" forces the software backend, and anything else is a fatal
+ * user error. @return true when the software backend is forced.
+ */
+bool crc32EnvForcesSoftware(const char *value);
+
 /** Human-readable backend name ("software" / "pclmul"). */
 const char *crc32BackendName();
 
@@ -49,7 +56,7 @@ std::uint32_t crc32Update(std::uint32_t state,
 /**
  * Incremental update through a specific backend (tests and benchmarks
  * compare the two directly). Falls back to software when the requested
- * backend is unavailable on this host or compiled out.
+ * backend is unavailable on this host or platform.
  */
 std::uint32_t crc32UpdateWith(Crc32Backend backend, std::uint32_t state,
                               std::span<const std::uint8_t> data);

@@ -11,14 +11,14 @@
  * wrong constants produce wrong CRCs for *every* input, so the
  * bit-identity tests against slicing-by-8 pin them.
  *
- * The whole file is inert unless built with UNET_HWCRC on a GCC/Clang
- * x86-64 target; the function carries a target attribute instead of
- * global -mpclmul so the rest of the binary stays baseline-ISA.
+ * The whole file is inert unless built for a GCC/Clang x86-64 target;
+ * the function carries a target attribute instead of global -mpclmul
+ * so the rest of the binary stays baseline-ISA.
  */
 
 #include "net/crc32_pclmul.hh"
 
-#if UNET_HWCRC && defined(__x86_64__) && defined(__GNUC__)
+#if defined(__x86_64__) && defined(__GNUC__)
 
 #include <immintrin.h>
 
@@ -133,7 +133,7 @@ crc32FoldPclmul(std::uint32_t state, const std::uint8_t *p,
 
 } // namespace unet::net::detail
 
-#else // !UNET_HWCRC || wrong arch/compiler
+#else // wrong arch/compiler
 
 namespace unet::net::detail {
 

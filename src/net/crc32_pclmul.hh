@@ -11,13 +11,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#ifndef UNET_HWCRC
-#define UNET_HWCRC 0
-#endif
-
 namespace unet::net::detail {
 
-/** True when this build + host can run the folding kernel. */
+/** True when this platform + host can run the folding kernel. */
 bool crc32PclmulAvailable();
 
 /**

@@ -73,20 +73,16 @@ Dc21140::txFetchNext()
             // The byte gather drops model metadata; re-attach the trace
             // context from the descriptor. The NIC takes custody here.
             txFrame.trace = desc.trace;
-#if UNET_TRACE
             if (auto *tr = host.simulation().trace())
                 tr->hop(txFrame.trace, obs::SpanKind::TxPost, _trackCpu,
                         host.simulation().now());
-#endif
 
             host.simulation().scheduleIn(
                 _spec.perFrameProcessing, [this, &desc] {
                 _lastTxWireStart = host.simulation().now();
-#if UNET_TRACE
                 if (auto *tr = host.simulation().trace())
                     tr->hop(txFrame.trace, obs::SpanKind::TxNic,
                             _trackNic, _lastTxWireStart);
-#endif
                 ++txInFlight;
                 tap->transmit(txFrame, [this, &desc](bool sent) {
                     // Status writeback.
@@ -168,13 +164,11 @@ Dc21140::frameArrived(const eth::Frame &frame)
         host.bus().dma(rx.bytes.size() % 128 + 32, [this] {
             PendingRx &done = rxPending.front();
             host.memory().write(done.desc->bufOffset, done.bytes);
-#if UNET_TRACE
             // Wire custody ends when the frame is visible in host
             // memory (serialization + residual DMA + bus).
             if (auto *tr = host.simulation().trace())
                 tr->hop(done.trace, obs::SpanKind::Wire, "eth.wire",
                         host.simulation().now());
-#endif
             done.desc->trace = done.trace;
             done.desc->complete = true;
             done.desc->frameLength =

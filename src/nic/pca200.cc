@@ -157,12 +157,10 @@ Pca200::serviceTx(EpState &state, bool chained)
         per_msg = _spec.txPerMessageTrain;
         --state.trainRemaining;
     }
-#if UNET_TRACE
     // The firmware takes custody of the message at the pop.
     if (auto *tr = host.simulation().trace())
         tr->hop(desc->trace, obs::SpanKind::TxPost, _trackCpu,
                 host.simulation().now());
-#endif
     if (!desc->isInline)
         for (std::uint8_t i = 0; i < desc->fragmentCount; ++i)
             state.ep->ownership().claimSend(desc->fragments[i]);
@@ -227,7 +225,6 @@ Pca200::emitNextCell(EpState &state)
     // each hop is a two-pointer capture — no heap emitter chain.
     coproc.run(_spec.txPerCell, [this, &state] {
         atm::Cell &cell = state.txCells[state.txCellIdx];
-#if UNET_TRACE
         // Only a PDU's final cell carries the custody state; the
         // firmware hands off to the wire when that cell leaves.
         if (cell.endOfPdu) {
@@ -236,7 +233,6 @@ Pca200::emitNextCell(EpState &state)
                         host.simulation().now());
             cell.trace = state.txTrace; // recycled cell: always assign
         }
-#endif
         tap->send(cell);
         ++_cellsSent;
         if (++state.txCellIdx < state.txCells.size()) {
@@ -279,13 +275,11 @@ Pca200::cellArrived(const atm::Cell &cell)
     slot = cell;
     if (corrupt)
         fault::flipBit(slot.payload, faultBit);
-#if UNET_TRACE
     // Wire custody ends when the final cell lands in the input FIFO.
     if (slot.endOfPdu)
         if (auto *tr = host.simulation().trace())
             tr->hop(slot.trace, obs::SpanKind::Wire, "atm.wire",
                     host.simulation().now());
-#endif
     if (!rxServiceScheduled) {
         rxServiceScheduled = true;
         rxService.scheduleIn(_spec.rxPollLatency);
@@ -356,11 +350,9 @@ Pca200::handleCell(const atm::Cell &cell)
                     rd.isSmall = true;
                     std::copy(payload->begin(), payload->end(),
                               rd.inlineData.begin());
-#if UNET_TRACE
                     if (auto *tr = host.simulation().trace())
                         tr->hop(ctx, obs::SpanKind::RxFw, _trackFw,
                                 host.simulation().now());
-#endif
                     rd.trace = ctx;
                     if (vc.ep->deliver(rd))
                         ++_msgsDeliv;
@@ -478,11 +470,9 @@ Pca200::completePdu(VcState &vc, std::vector<std::uint8_t> payload)
     for (std::size_t i = bi; i < vc.buffers.size(); ++i)
         recycleRxBuffer(vc.ep, vc.buffers[i]);
 
-#if UNET_TRACE
     if (auto *tr = host.simulation().trace())
         tr->hop(vc.trace, obs::SpanKind::RxFw, _trackFw,
                 host.simulation().now());
-#endif
     rd.trace = vc.trace;
     if (vc.ep->deliver(rd)) {
         ++_msgsDeliv;

@@ -107,7 +107,6 @@ class TraceSession
                label.empty() ? 0 : name(label));
     }
 
-#if UNET_TRACE
     /** Stamp a fresh id onto @p ctx with custody starting now. */
     void
     begin(TraceContext &ctx, sim::Tick now)
@@ -130,7 +129,6 @@ class TraceSession
                label.empty() ? 0 : name(label));
         ctx.handoff = now;
     }
-#endif
 
     /** Spans currently retained (<= capacity). */
     std::size_t

@@ -10,9 +10,8 @@
  * interval from send-post to final consumption — their durations sum
  * exactly to the end-to-end latency, even when hardware stages overlap.
  *
- * With UNET_TRACE=0 the context collapses to an empty struct and every
- * hook site compiles away; with UNET_TRACE=1 but no TraceSession enabled
- * the hooks cost one pointer test.
+ * The hook sites are always compiled in; while no TraceSession is
+ * enabled each costs one null test of sim.trace().
  */
 
 #ifndef UNET_OBS_TRACE_CTX_HH
@@ -22,13 +21,7 @@
 
 #include "sim/time.hh"
 
-#ifndef UNET_TRACE
-#define UNET_TRACE 1
-#endif
-
 namespace unet::obs {
-
-#if UNET_TRACE
 
 /** Per-message trace state; id 0 means "not traced". */
 struct TraceContext
@@ -38,16 +31,6 @@ struct TraceContext
 
     explicit operator bool() const { return id != 0; }
 };
-
-#else
-
-/** Tracing compiled out: no state, always false. */
-struct TraceContext
-{
-    explicit operator bool() const { return false; }
-};
-
-#endif
 
 } // namespace unet::obs
 

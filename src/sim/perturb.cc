@@ -1,7 +1,11 @@
 #include "sim/perturb.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+
+#include "sim/logging.hh"
 
 namespace unet::sim::perturb {
 
@@ -15,13 +19,7 @@ envSalt()
     // nondet-ok(env-read): getenv is a fixed process input, not a
     // source of nondeterminism across runs with the same environment.
     const char *env = std::getenv("UNET_PERTURB"); // NOLINT(concurrency-mt-unsafe)
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(env, &end, 0);
-    if (end == env || (end && *end != '\0'))
-        return 0;
-    return static_cast<std::uint64_t>(value);
+    return parseSalt(env);
 }
 
 std::atomic<std::uint64_t> &
@@ -32,6 +30,22 @@ slot()
 }
 
 } // namespace
+
+std::uint64_t
+parseSalt(const char *value)
+{
+    if (!value || !*value)
+        return 0;
+    // strtoull alone would take leading blanks and wrap a minus sign.
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long parsed = std::strtoull(value, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
+        errno == ERANGE)
+        UNET_FATAL("UNET_PERTURB=", value,
+                   ": expected an unsigned integer salt");
+    return static_cast<std::uint64_t>(parsed);
+}
 
 std::uint64_t
 salt()

@@ -72,6 +72,13 @@ namespace perturb {
  */
 std::uint64_t salt();
 
+/**
+ * Parse a UNET_PERTURB value: null or empty means off (0); otherwise
+ * it must be an unsigned integer (decimal, 0x hex or 0 octal) and
+ * anything else is a fatal user error.
+ */
+std::uint64_t parseSalt(const char *value);
+
 /** Override the process salt (tests). @return the previous salt. */
 std::uint64_t setSalt(std::uint64_t salt);
 

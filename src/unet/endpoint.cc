@@ -85,12 +85,10 @@ Endpoint::poll(RecvDescriptor &out)
     if (!desc)
         return false;
     out = *desc;
-#if UNET_TRACE
     // The application consumes the message: close out its custody.
     if (auto *tr = sim.trace())
         tr->hop(out.trace, obs::SpanKind::RxQueue, _metrics.prefix(),
                 sim.now());
-#endif
     if (!out.isSmall)
         for (std::uint8_t i = 0; i < out.bufferCount; ++i)
             _ownership.consume(out.buffers[i]);
@@ -109,11 +107,9 @@ Endpoint::pollv(RecvDescriptor *out, std::size_t max)
             break;
         out[drained] = *desc;
         RecvDescriptor &cur = out[drained];
-#if UNET_TRACE
         if (auto *tr = sim.trace())
             tr->hop(cur.trace, obs::SpanKind::RxQueue,
                     _metrics.prefix(), sim.now());
-#endif
         if (!cur.isSmall)
             for (std::uint8_t i = 0; i < cur.bufferCount; ++i)
                 _ownership.consume(cur.buffers[i]);
@@ -184,11 +180,9 @@ Endpoint::scheduleUpcall()
         RecvDescriptor desc;
         while (!_recvQueue.empty()) {
             desc = *_recvQueue.pop();
-#if UNET_TRACE
             if (auto *tr = sim.trace())
                 tr->hop(desc.trace, obs::SpanKind::RxQueue,
                         _metrics.prefix(), sim.now());
-#endif
             if (!desc.isSmall)
                 for (std::uint8_t i = 0; i < desc.bufferCount; ++i)
                     _ownership.consume(desc.buffers[i]);

@@ -71,7 +71,7 @@ struct SendDescriptor
     std::uint8_t fragmentCount = 0;
     std::array<BufferRef, maxFragments> fragments{};
 
-    /** Message-trace custody state (empty unless tracing). */
+    /** Message-trace custody state (id 0 while untraced). */
     obs::TraceContext trace;
 
     /** Total message length in bytes. */
@@ -105,7 +105,7 @@ struct RecvDescriptor
     std::uint8_t bufferCount = 0;
     std::array<BufferRef, maxFragments> buffers{};
 
-    /** Message-trace custody state (empty unless tracing). */
+    /** Message-trace custody state (id 0 while untraced). */
     obs::TraceContext trace;
 };
 

@@ -71,13 +71,14 @@ class UNet
     /**
      * Post a send: push @p desc onto the endpoint's send queue and ring
      * the implementation's doorbell (fast trap / PIO store), charging
-     * the calling process its share of processor time.
+     * the calling process its share of processor time. An untraced
+     * descriptor is stamped with a fresh trace id while a TraceSession
+     * is enabled.
      *
      * @return false if the descriptor was rejected (full queue, invalid
      *         channel, or protection fault).
      */
-    virtual bool send(sim::Process &proc, Endpoint &ep,
-                      const SendDescriptor &desc) = 0;
+    bool send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc);
 
     /**
      * Batched submission: post @p n descriptors onto the endpoint's
@@ -96,9 +97,8 @@ class UNet
      *
      * @return the number of descriptors accepted (0..n).
      */
-    virtual std::size_t sendv(sim::Process &proc, Endpoint &ep,
-                              const SendDescriptor *descs,
-                              std::size_t n);
+    std::size_t sendv(sim::Process &proc, Endpoint &ep,
+                      const SendDescriptor *descs, std::size_t n);
 
     /**
      * Batched completion: drain up to @p max receive descriptors from
@@ -145,6 +145,16 @@ class UNet
     const vep::EndpointTable &table() const { return _table; }
 
   protected:
+    /** Post one descriptor that already carries its trace context. */
+    virtual bool sendImpl(sim::Process &proc, Endpoint &ep,
+                          const SendDescriptor &desc) = 0;
+
+    /** Post a batch of 2..capacity descriptors that already carry
+     *  their trace contexts, ringing the doorbell once. */
+    virtual std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
+                                  const SendDescriptor *descs,
+                                  std::size_t n) = 0;
+
     /** Implementation hook run before the table retires the id. */
     virtual void onDestroyEndpoint(Endpoint &ep) { (void)ep; }
 
@@ -164,11 +174,19 @@ class UNet
     sim::Counter _protFaults;
 };
 
-/**
- * Reference sendv: a scalar-send loop (one doorbell per descriptor).
- * Implementations override it to coalesce the doorbell; they keep
- * these exact accept-in-order / stop-at-first-rejection semantics.
- */
+inline bool
+UNet::send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc)
+{
+    // The caller's descriptor is const, so custody tracking rides on a
+    // copy.
+    if (auto *tr = _host.simulation().trace(); tr && !desc.trace) {
+        SendDescriptor traced = desc;
+        tr->begin(traced.trace, _host.simulation().now());
+        return sendImpl(proc, ep, traced);
+    }
+    return sendImpl(proc, ep, desc);
+}
+
 inline std::size_t
 UNet::sendv(sim::Process &proc, Endpoint &ep, const SendDescriptor *descs,
             std::size_t n)
@@ -177,10 +195,20 @@ UNet::sendv(sim::Process &proc, Endpoint &ep, const SendDescriptor *descs,
         UNET_PANIC("sendv of ", n, " descriptors exceeds the ",
                    ep.sendQueue().capacity(),
                    "-entry send queue window");
-    std::size_t accepted = 0;
-    while (accepted < n && send(proc, ep, descs[accepted]))
-        ++accepted;
-    return accepted;
+    if (n == 0)
+        return 0;
+    // Batch of one IS a scalar send: same code path, so it is trace-
+    // and digest-identical by construction.
+    if (n == 1)
+        return send(proc, ep, descs[0]) ? 1 : 0;
+    if (auto *tr = _host.simulation().trace()) {
+        std::vector<SendDescriptor> traced(descs, descs + n);
+        for (auto &desc : traced)
+            if (!desc.trace)
+                tr->begin(desc.trace, _host.simulation().now());
+        return sendvImpl(proc, ep, traced.data(), n);
+    }
+    return sendvImpl(proc, ep, descs, n);
 }
 
 } // namespace unet

@@ -35,21 +35,6 @@ UNetAtm::onDestroyEndpoint(Endpoint &ep)
 }
 
 bool
-UNetAtm::send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc)
-{
-#if UNET_TRACE
-    // Stamp untraced messages on the way in. The caller's descriptor is
-    // const, so custody tracking rides on a copy.
-    if (auto *tr = _host.simulation().trace(); tr && !desc.trace) {
-        SendDescriptor traced = desc;
-        tr->begin(traced.trace, _host.simulation().now());
-        return sendImpl(proc, ep, traced);
-    }
-#endif
-    return sendImpl(proc, ep, desc);
-}
-
-bool
 UNetAtm::sendImpl(sim::Process &proc, Endpoint &ep,
                   const SendDescriptor &desc)
 {
@@ -76,32 +61,6 @@ UNetAtm::sendImpl(sim::Process &proc, Endpoint &ep,
     ++_posted;
     _nic.doorbell(&ep);
     return true;
-}
-
-std::size_t
-UNetAtm::sendv(sim::Process &proc, Endpoint &ep,
-               const SendDescriptor *descs, std::size_t n)
-{
-    if (n > ep.sendQueue().capacity())
-        UNET_PANIC("sendv of ", n, " descriptors exceeds the ",
-                   ep.sendQueue().capacity(),
-                   "-entry send queue window");
-    if (n == 0)
-        return 0;
-    // Batch of one IS a scalar send: same code path, so it is trace-
-    // and digest-identical by construction.
-    if (n == 1)
-        return send(proc, ep, descs[0]) ? 1 : 0;
-#if UNET_TRACE
-    if (auto *tr = _host.simulation().trace()) {
-        std::vector<SendDescriptor> traced(descs, descs + n);
-        for (auto &desc : traced)
-            if (!desc.trace)
-                tr->begin(desc.trace, _host.simulation().now());
-        return sendvImpl(proc, ep, traced.data(), n);
-    }
-#endif
-    return sendvImpl(proc, ep, descs, n);
 }
 
 std::size_t

@@ -60,21 +60,6 @@ class UNetAtm : public UNet
     Endpoint &createEndpoint(const sim::Process *owner,
                              const EndpointConfig &config) override;
 
-    bool send(sim::Process &proc, Endpoint &ep,
-              const SendDescriptor &desc) override;
-
-    /**
-     * Batched submission: the descriptors are stored into the
-     * NIC-resident send queue as one PIO burst (first store at full
-     * sendPost cost, followers at sendPostBatch) and the firmware is
-     * handed ONE contiguous descriptor train — a single i960 poll
-     * drains the whole batch, with followers read at the cheap
-     * Pca200Spec::txPerMessageTrain rate.
-     */
-    std::size_t sendv(sim::Process &proc, Endpoint &ep,
-                      const SendDescriptor *descs,
-                      std::size_t n) override;
-
     bool postFree(sim::Process &proc, Endpoint &ep,
                   BufferRef buf) override;
 
@@ -143,13 +128,20 @@ class UNetAtm : public UNet
     /** Detach the endpoint from the firmware before the id retires. */
     void onDestroyEndpoint(Endpoint &ep) override;
 
-    /** send() once the descriptor carries its trace context. */
     bool sendImpl(sim::Process &proc, Endpoint &ep,
-                  const SendDescriptor &desc);
+                  const SendDescriptor &desc) override;
 
-    /** sendv() once every descriptor carries its trace context. */
+    /**
+     * Batched submission: the descriptors are stored into the
+     * NIC-resident send queue as one PIO burst (first store at full
+     * sendPost cost, followers at sendPostBatch) and the firmware is
+     * handed ONE contiguous descriptor train — a single i960 poll
+     * drains the whole batch, with followers read at the cheap
+     * Pca200Spec::txPerMessageTrain rate.
+     */
     std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
-                          const SendDescriptor *descs, std::size_t n);
+                          const SendDescriptor *descs,
+                          std::size_t n) override;
 
     UNetAtmSpec _spec;
     nic::Pca200 &_nic;

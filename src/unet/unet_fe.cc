@@ -160,47 +160,6 @@ UNetFe::connect(UNetFe &a, Endpoint &ep_a, UNetFe &b, Endpoint &ep_b,
     chan_b = b.addChannelTo(ep_b, a._nic.address(), a.portOf(ep_a));
 }
 
-bool
-UNetFe::send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc)
-{
-#if UNET_TRACE
-    // Stamp untraced messages on the way in. The caller's descriptor is
-    // const, so custody tracking rides on a copy.
-    if (auto *tr = _host.simulation().trace(); tr && !desc.trace) {
-        SendDescriptor traced = desc;
-        tr->begin(traced.trace, _host.simulation().now());
-        return sendImpl(proc, ep, traced);
-    }
-#endif
-    return sendImpl(proc, ep, desc);
-}
-
-std::size_t
-UNetFe::sendv(sim::Process &proc, Endpoint &ep,
-              const SendDescriptor *descs, std::size_t n)
-{
-    if (n > ep.sendQueue().capacity())
-        UNET_PANIC("sendv of ", n, " descriptors exceeds the ",
-                   ep.sendQueue().capacity(),
-                   "-entry send queue window");
-    if (n == 0)
-        return 0;
-    // Batch of one IS a scalar send: same code path, so it is trace-
-    // and digest-identical by construction.
-    if (n == 1)
-        return send(proc, ep, descs[0]) ? 1 : 0;
-#if UNET_TRACE
-    if (auto *tr = _host.simulation().trace()) {
-        std::vector<SendDescriptor> traced(descs, descs + n);
-        for (auto &desc : traced)
-            if (!desc.trace)
-                tr->begin(desc.trace, _host.simulation().now());
-        return sendvImpl(proc, ep, traced.data(), n);
-    }
-#endif
-    return sendvImpl(proc, ep, descs, n);
-}
-
 std::size_t
 UNetFe::sendvImpl(sim::Process &proc, Endpoint &ep,
                   const SendDescriptor *descs, std::size_t n)
@@ -364,35 +323,45 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
         step(desc.trace, base, "Ethernet header set-up",
              _spec.txEthHeaderSetup, cost);
         std::uint32_t msg_len = desc.totalLength();
-        std::vector<std::uint8_t> header;
-        header.reserve(eth::Frame::headerBytes + unetHeaderBytes +
-                       _spec.extraHeaderBytes() + smallMessageMax);
-        const auto &dst = chan.remoteMac.raw();
-        const auto &src = _nic.address().raw();
-        header.insert(header.end(), dst.begin(), dst.end());
-        header.insert(header.end(), src.begin(), src.end());
-        header.push_back(static_cast<std::uint8_t>(_spec.etherType >> 8));
-        header.push_back(static_cast<std::uint8_t>(_spec.etherType));
-        if (_spec.ipv4Encapsulation) {
-            // IPv4 header (contents unmodeled; sizing and cost are).
-            header.insert(header.end(), UNetFeSpec::ipv4HeaderBytes, 0);
-            cost += _spec.ipv4Cost;
-        }
-        header.push_back(chan.remotePort);          // dst U-Net port
-        header.push_back(state.port);               // src U-Net port
-        header.push_back(static_cast<std::uint8_t>(msg_len >> 8));
-        header.push_back(static_cast<std::uint8_t>(msg_len));
-        header.push_back(0);
-        header.push_back(0);
+        // Scoped so the heap buffer is freed before the cpu.busy()
+        // yields below: a fiber abandoned there (the explorer drops
+        // unfinished runs) must not hold it. Kept on the heap: a stack
+        // array shifted glibc's heap layout enough to double the page
+        // faults of the Table 1 wall-clock run.
+        std::size_t header_len = 0;
+        {
+            std::vector<std::uint8_t> header;
+            header.reserve(eth::Frame::headerBytes + unetHeaderBytes +
+                           _spec.extraHeaderBytes() + smallMessageMax);
+            const auto &dst = chan.remoteMac.raw();
+            const auto &src = _nic.address().raw();
+            header.insert(header.end(), dst.begin(), dst.end());
+            header.insert(header.end(), src.begin(), src.end());
+            header.push_back(
+                static_cast<std::uint8_t>(_spec.etherType >> 8));
+            header.push_back(static_cast<std::uint8_t>(_spec.etherType));
+            if (_spec.ipv4Encapsulation) {
+                // IPv4 header (contents unmodeled; sizing and cost are).
+                header.insert(header.end(), UNetFeSpec::ipv4HeaderBytes, 0);
+                cost += _spec.ipv4Cost;
+            }
+            header.push_back(chan.remotePort);          // dst U-Net port
+            header.push_back(state.port);               // src U-Net port
+            header.push_back(static_cast<std::uint8_t>(msg_len >> 8));
+            header.push_back(static_cast<std::uint8_t>(msg_len));
+            header.push_back(0);
+            header.push_back(0);
 
-        if (desc.isInline) {
-            // Small message: the kernel copies the payload into the
-            // header buffer (it arrived inline in the descriptor).
-            header.insert(header.end(), desc.inlineData.begin(),
-                          desc.inlineData.begin() + desc.inlineLength);
-            cost += cpu.spec().memcpyTime(desc.inlineLength);
+            if (desc.isInline) {
+                // Small message: the kernel copies the payload into the
+                // header buffer (it arrived inline in the descriptor).
+                header.insert(header.end(), desc.inlineData.begin(),
+                              desc.inlineData.begin() + desc.inlineLength);
+                cost += cpu.spec().memcpyTime(desc.inlineLength);
+            }
+            mem.write(headerBufOffset[slot], header);
+            header_len = header.size();
         }
-        mem.write(headerBufOffset[slot], header);
 
         step(desc.trace, base, "device send ring descriptor set-up",
              _spec.txRingDescSetup, cost);
@@ -413,7 +382,7 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
             ring_desc.buf1Offset =
                 static_cast<std::uint32_t>(headerBufOffset[slot]);
             ring_desc.buf1Length =
-                static_cast<std::uint32_t>(header.size());
+                static_cast<std::uint32_t>(header_len);
             if (!desc.isInline && desc.fragmentCount == 1) {
                 BufferRef frag = desc.fragments[0];
                 ring_desc.buf2Offset = static_cast<std::uint32_t>(
@@ -635,11 +604,9 @@ UNetFe::rxInterrupt()
             std::copy(payload.begin(), payload.end(),
                       rd.inlineData.begin());
             effects.push_back([this, ep, rd, ctx]() mutable {
-#if UNET_TRACE
                 if (auto *tr = _host.simulation().trace())
                     tr->hop(ctx, obs::SpanKind::RxKernel, _trackCpu,
                             _host.simulation().now());
-#endif
                 rd.trace = ctx;
                 if (ep->deliver(rd))
                     ++_delivered;
@@ -714,11 +681,9 @@ UNetFe::rxInterrupt()
                                   rd.buffers[i].length));
                     off += rd.buffers[i].length;
                 }
-#if UNET_TRACE
                 if (auto *tr = _host.simulation().trace())
                     tr->hop(ctx, obs::SpanKind::RxKernel, _trackCpu,
                             _host.simulation().now());
-#endif
                 rd.trace = ctx;
                 if (ep->deliver(rd)) {
                     ++_delivered;

@@ -133,21 +133,6 @@ class UNetFe : public UNet
     Endpoint &createEndpoint(const sim::Process *owner,
                              const EndpointConfig &config) override;
 
-    bool send(sim::Process &proc, Endpoint &ep,
-              const SendDescriptor &desc) override;
-
-    /**
-     * Batched submission: one fast trap services the whole batch. The
-     * kernel drains the send queue under a single trap-entry/exit pair
-     * and issues ONE transmit poll demand after the last ring
-     * descriptor is published, so the Figure-3 fixed costs (trap entry,
-     * poll demand, trap exit) are paid once per batch instead of once
-     * per message.
-     */
-    std::size_t sendv(sim::Process &proc, Endpoint &ep,
-                      const SendDescriptor *descs,
-                      std::size_t n) override;
-
     bool postFree(sim::Process &proc, Endpoint &ep,
                   BufferRef buf) override;
 
@@ -193,13 +178,20 @@ class UNetFe : public UNet
     /** Tear down port/demux/residency state before the id retires. */
     void onDestroyEndpoint(Endpoint &ep) override;
 
-    /** send() once the descriptor carries its trace context. */
     bool sendImpl(sim::Process &proc, Endpoint &ep,
-                  const SendDescriptor &desc);
+                  const SendDescriptor &desc) override;
 
-    /** sendv() once every descriptor carries its trace context. */
+    /**
+     * Batched submission: one fast trap services the whole batch. The
+     * kernel drains the send queue under a single trap-entry/exit pair
+     * and issues ONE transmit poll demand after the last ring
+     * descriptor is published, so the Figure-3 fixed costs (trap entry,
+     * poll demand, trap exit) are paid once per batch instead of once
+     * per message.
+     */
     std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
-                          const SendDescriptor *descs, std::size_t n);
+                          const SendDescriptor *descs,
+                          std::size_t n) override;
 
     /**
      * Kernel service routine for the send queue (runs in the trap).
@@ -232,15 +224,9 @@ class UNetFe : public UNet
     step(const obs::TraceContext &ctx, sim::Tick base, const char *stage,
          sim::Tick cost, sim::Tick &acc)
     {
-#if UNET_TRACE
         if (auto *tr = _host.simulation().trace())
             tr->record(ctx.id, obs::SpanKind::Step, _trackCpu,
                        base + acc, base + acc + cost, stage);
-#else
-        (void)ctx;
-        (void)base;
-        (void)stage;
-#endif
         acc += cost;
     }
 

@@ -85,6 +85,23 @@ TEST(Crc32, BackendNameMatchesEnum)
         EXPECT_STREQ(net::crc32BackendName(), "software");
 }
 
+TEST(Crc32, EnvForcesSoftwareOnlyForSoft)
+{
+    EXPECT_FALSE(net::crc32EnvForcesSoftware(nullptr));
+    EXPECT_FALSE(net::crc32EnvForcesSoftware(""));
+    EXPECT_TRUE(net::crc32EnvForcesSoftware("soft"));
+}
+
+TEST(Crc32, EnvRejectsMalformedValues)
+{
+    EXPECT_EXIT(net::crc32EnvForcesSoftware("software"),
+                ::testing::ExitedWithCode(1), "UNET_CRC32=software");
+    EXPECT_EXIT(net::crc32EnvForcesSoftware("SOFT"),
+                ::testing::ExitedWithCode(1), "UNET_CRC32=SOFT");
+    EXPECT_EXIT(net::crc32EnvForcesSoftware("hw"),
+                ::testing::ExitedWithCode(1), "UNET_CRC32=hw");
+}
+
 /** The hardware folding path must be bit-identical to the tables for
  *  every length class: sub-threshold, fold-boundary (64, 128), every
  *  tail residue 0..63 around them, and long buffers that exercise the

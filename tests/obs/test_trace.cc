@@ -125,7 +125,6 @@ TEST(TraceSession, ClearDropsSpansKeepsNames)
     EXPECT_EQ(tr.nameOf(track), "A.cpu");
 }
 
-#if UNET_TRACE
 TEST(TraceSession, HopChainTilesTheLifetime)
 {
     TraceSession tr(16);
@@ -152,4 +151,3 @@ TEST(TraceSession, HopChainTilesTheLifetime)
     tr.hop(idle, SpanKind::Wire, "eth.wire", 2000);
     EXPECT_EQ(tr.size(), 3u);
 }
-#endif // UNET_TRACE

@@ -1,11 +1,17 @@
 /**
  * @file
- * End-to-end custody tiling: one traced message through the full
- * U-Net/FE stack must produce a hop chain whose spans partition the
- * send-post -> consume interval exactly.
+ * End-to-end custody tiling: every traced message through the full
+ * U-Net/FE or U-Net/ATM stack must produce a hop chain whose spans
+ * partition the send-post -> consume interval exactly, whether it was
+ * posted by send() or in a sendv() batch.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "tests/unet/fixtures.hh"
 
@@ -13,69 +19,135 @@ using namespace unet;
 using namespace unet::test;
 using namespace unet::sim::literals;
 
-#if UNET_TRACE
+namespace {
 
-TEST(TraceE2E, CustodySpansTileSendToConsume)
+/** Sender node 0 and receiver node 1 on one Fast Ethernet link. */
+struct FeRig
+{
+    explicit FeRig(sim::Simulation &s)
+        : link(s), na(s, link, 0), nb(s, link, 1)
+    {}
+
+    void
+    connect(Endpoint &ea, Endpoint &eb, ChannelId &ca, ChannelId &cb)
+    {
+        UNetFe::connect(na.unet, ea, nb.unet, eb, ca, cb);
+    }
+
+    eth::FullDuplexLink link;
+    FeNode na, nb;
+    UNet &a = na.unet, &b = nb.unet;
+};
+
+/** Sender node 0 and receiver node 1 around one ATM switch. */
+struct AtmRig
+{
+    explicit AtmRig(sim::Simulation &s) : star(s, 2) {}
+
+    void
+    connect(Endpoint &ea, Endpoint &eb, ChannelId &ca, ChannelId &cb)
+    {
+        UNetAtm::connect(star[0].unet, ea, star.ports[0], star[1].unet, eb,
+                         star.ports[1], star.signalling, ca, cb);
+    }
+
+    AtmStar star;
+    UNet &a = star[0].unet, &b = star[1].unet;
+};
+
+/** One custody span, with its track name resolved. */
+struct Hop
+{
+    obs::SpanKind kind;
+    std::string track;
+    sim::Tick start, end;
+};
+
+/** What a run observed, per message in receive order. */
+struct TracedRun
+{
+    bool traced = false;
+    sim::Tick posted = -1;
+    std::uint64_t prestampedId = 0;
+    std::vector<std::uint8_t> payloadSeeds;
+    std::vector<std::uint64_t> ids;
+    std::vector<sim::Tick> consumed;
+    std::map<std::uint64_t, std::vector<Hop>> chains;
+};
+
+/**
+ * Post @p n 16-byte inline messages from node 0 to node 1 in one call
+ * (send() when n == 1, sendv() otherwise) and consume them all.
+ * Message k carries pattern seed k. When @p prestamp is a valid index,
+ * that descriptor is stamped before the call.
+ */
+template <class Rig>
+TracedRun
+runMessages(std::size_t n, bool trace = true,
+            std::size_t prestamp = SIZE_MAX)
 {
     sim::Simulation s;
-    s.enableTrace();
-    eth::FullDuplexLink link(s);
-    FeNode a(s, link, 0), b(s, link, 1);
+    if (trace)
+        s.enableTrace();
+    Rig rig(s);
 
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
-    auto data = pattern(40);
-    bool received = false;
-    sim::Tick t_post = -1, t_consume = -1;
+    TracedRun run;
 
     sim::Process rx(s, "rx", [&](sim::Process &self) {
-        RecvDescriptor got;
-        received = epB->wait(self, got, 10_ms);
-        t_consume = s.now();
+        for (std::size_t k = 0; k < n; ++k) {
+            RecvDescriptor got;
+            if (!epB->wait(self, got, 10_ms))
+                return;
+            run.payloadSeeds.push_back(got.inlineData[0]);
+            run.ids.push_back(got.trace.id);
+            run.consumed.push_back(s.now());
+        }
     });
     sim::Process tx(s, "tx", [&](sim::Process &self) {
-        t_post = s.now();
-        EXPECT_TRUE(a.unet.send(self, *epA, inlineSend(chanA, data)));
+        std::vector<SendDescriptor> batch;
+        for (std::size_t k = 0; k < n; ++k)
+            batch.push_back(inlineSend(
+                chanA, pattern(16, static_cast<std::uint8_t>(k))));
+        if (prestamp < n) {
+            s.trace()->begin(batch[prestamp].trace, s.now());
+            run.prestampedId = batch[prestamp].trace.id;
+        }
+        run.posted = s.now();
+        if (n == 1)
+            EXPECT_TRUE(rig.a.send(self, *epA, batch[0]));
+        else
+            EXPECT_EQ(rig.a.sendv(self, *epA, batch.data(), n), n);
     });
 
-    epA = &a.unet.createEndpoint(&tx, {});
-    epB = &b.unet.createEndpoint(&rx, {});
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    epA = &rig.a.createEndpoint(&tx, {});
+    epB = &rig.b.createEndpoint(&rx, {});
+    rig.connect(*epA, *epB, chanA, chanB);
 
     rx.start();
     tx.start(1_us);
     s.run();
-    ASSERT_TRUE(received);
 
-    auto *tr = s.trace();
-    ASSERT_NE(tr, nullptr);
-    std::vector<obs::Span> chain;
-    tr->forEach([&](const obs::Span &sp) {
-        if (obs::isCustody(sp.kind))
-            chain.push_back(sp);
-    });
+    if (auto *tr = s.trace()) {
+        run.traced = true;
+        tr->forEach([&](const obs::Span &sp) {
+            if (obs::isCustody(sp.kind))
+                run.chains[sp.id].push_back(
+                    {sp.kind, tr->nameOf(sp.track), sp.start, sp.end});
+        });
+    }
+    return run;
+}
 
-    // The FE hop chain for one message.
-    ASSERT_EQ(chain.size(), 5u);
-    EXPECT_EQ(chain[0].kind, obs::SpanKind::TxPost);
-    EXPECT_EQ(chain[1].kind, obs::SpanKind::TxNic);
-    EXPECT_EQ(chain[2].kind, obs::SpanKind::Wire);
-    EXPECT_EQ(chain[3].kind, obs::SpanKind::RxKernel);
-    EXPECT_EQ(chain[4].kind, obs::SpanKind::RxQueue);
-    EXPECT_EQ(tr->nameOf(chain[0].track), "node0.cpu");
-    EXPECT_EQ(tr->nameOf(chain[2].track), "eth.wire");
-    EXPECT_EQ(tr->nameOf(chain[3].track), "node1.cpu");
-
-    // All hops belong to the same (non-zero) message.
-    for (const auto &sp : chain)
-        EXPECT_EQ(sp.id, chain[0].id);
-    EXPECT_NE(chain[0].id, 0u);
-
-    // Custody starts when send() posts and ends when wait() consumes.
-    EXPECT_EQ(chain.front().start, t_post);
-    EXPECT_EQ(chain.back().end, t_consume);
-
-    // Tiling: contiguous handoffs, durations sum to the full latency.
+/** Expect @p chain to run contiguously from @p from to @p to. */
+void
+expectTiles(const std::vector<Hop> &chain, sim::Tick from, sim::Tick to)
+{
+    ASSERT_FALSE(chain.empty());
+    EXPECT_EQ(chain.front().start, from);
+    EXPECT_EQ(chain.back().end, to);
+    EXPECT_EQ(chain.back().kind, obs::SpanKind::RxQueue);
     sim::Tick total = 0;
     for (std::size_t i = 0; i < chain.size(); ++i) {
         if (i > 0) {
@@ -84,37 +156,100 @@ TEST(TraceE2E, CustodySpansTileSendToConsume)
         }
         total += chain[i].end - chain[i].start;
     }
-    EXPECT_EQ(total, t_consume - t_post);
+    EXPECT_EQ(total, to - from);
+}
+
+/**
+ * One traced send(): a single non-zero id whose custody hops are
+ * @p expected (kind, track; an empty track is not checked) and tile
+ * post to consume.
+ */
+template <class Rig>
+void
+expectHopChain(
+    const std::vector<std::pair<obs::SpanKind, std::string>> &expected)
+{
+    TracedRun run = runMessages<Rig>(1);
+    ASSERT_EQ(run.ids.size(), 1u);
+    ASSERT_EQ(run.chains.size(), 1u);
+    EXPECT_NE(run.ids[0], 0u);
+    const auto &chain = run.chains[run.ids[0]];
+    ASSERT_EQ(chain.size(), expected.size());
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+        EXPECT_EQ(chain[i].kind, expected[i].first) << "hop " << i;
+        if (!expected[i].second.empty())
+            EXPECT_EQ(chain[i].track, expected[i].second) << "hop " << i;
+    }
+    expectTiles(chain, run.posted, run.consumed[0]);
+}
+
+/**
+ * A traced sendv of 4, descriptor 2 stamped beforehand: 4 distinct
+ * non-zero ids, the ones sendv stamped in post order, the pre-stamped
+ * one kept, and every chain tiling post to consume.
+ */
+template <class Rig>
+void
+expectSendvStampsEachDescriptor()
+{
+    TracedRun run = runMessages<Rig>(4, true, 2);
+    ASSERT_EQ(run.ids.size(), 4u);
+    EXPECT_EQ(run.payloadSeeds, (std::vector<std::uint8_t>{0, 1, 2, 3}));
+
+    EXPECT_NE(run.prestampedId, 0u);
+    EXPECT_EQ(run.ids[2], run.prestampedId);
+    EXPECT_NE(run.ids[0], 0u);
+    EXPECT_LT(run.ids[0], run.ids[1]);
+    EXPECT_LT(run.ids[1], run.ids[3]);
+    EXPECT_NE(run.ids[3], run.ids[2]);
+
+    EXPECT_EQ(run.chains.size(), 4u);
+    for (std::size_t k = 0; k < run.ids.size(); ++k) {
+        SCOPED_TRACE(k);
+        expectTiles(run.chains[run.ids[k]], run.posted, run.consumed[k]);
+    }
+}
+
+} // namespace
+
+// Custody starts when send() posts and ends when wait() consumes.
+TEST(TraceE2E, CustodySpansTileSendToConsume)
+{
+    // The kernel trap posts, the DC21140 serializes, the receiving
+    // kernel demuxes into the endpoint.
+    expectHopChain<FeRig>({{obs::SpanKind::TxPost, "node0.cpu"},
+                           {obs::SpanKind::TxNic, "node0.nic"},
+                           {obs::SpanKind::Wire, "eth.wire"},
+                           {obs::SpanKind::RxKernel, "node1.cpu"},
+                           {obs::SpanKind::RxQueue, ""}});
+}
+
+TEST(TraceE2E, AtmCustodySpansTileSendToConsume)
+{
+    // The i960 takes custody at the pop of the host's PIO store and
+    // hands the last cell to the wire; the receiving i960 reassembles
+    // into the receive queue.
+    expectHopChain<AtmRig>({{obs::SpanKind::TxPost, "node0.cpu"},
+                            {obs::SpanKind::TxFw, "node0.fw"},
+                            {obs::SpanKind::Wire, "atm.wire"},
+                            {obs::SpanKind::RxFw, "node1.fw"},
+                            {obs::SpanKind::RxQueue, ""}});
+}
+
+TEST(TraceE2E, FeSendvStampsEachDescriptor)
+{
+    expectSendvStampsEachDescriptor<FeRig>();
+}
+
+TEST(TraceE2E, AtmSendvStampsEachDescriptor)
+{
+    expectSendvStampsEachDescriptor<AtmRig>();
 }
 
 TEST(TraceE2E, DisabledTracerRecordsNothing)
 {
-    sim::Simulation s; // no enableTrace()
-    eth::FullDuplexLink link(s);
-    FeNode a(s, link, 0), b(s, link, 1);
-
-    Endpoint *epA = nullptr, *epB = nullptr;
-    ChannelId chanA = invalidChannel, chanB = invalidChannel;
-    auto data = pattern(40);
-    bool received = false;
-
-    sim::Process rx(s, "rx", [&](sim::Process &self) {
-        RecvDescriptor got;
-        received = epB->wait(self, got, 10_ms);
-    });
-    sim::Process tx(s, "tx", [&](sim::Process &self) {
-        EXPECT_TRUE(a.unet.send(self, *epA, inlineSend(chanA, data)));
-    });
-
-    epA = &a.unet.createEndpoint(&tx, {});
-    epB = &b.unet.createEndpoint(&rx, {});
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
-
-    rx.start();
-    tx.start(1_us);
-    s.run();
-    ASSERT_TRUE(received);
-    EXPECT_EQ(s.trace(), nullptr);
+    TracedRun run = runMessages<FeRig>(1, false);
+    ASSERT_EQ(run.ids.size(), 1u);
+    EXPECT_FALSE(run.traced);
+    EXPECT_EQ(run.ids[0], 0u);
 }
-
-#endif // UNET_TRACE

@@ -249,7 +249,6 @@ TEST(RpcServe, ExactlyOnceUnderBurstLoss)
     EXPECT_LE(r.dupResponses, r.serverRetransmits);
 }
 
-#if UNET_TRACE
 
 /**
  * The reported end-to-end latency (issue epoch to response consume)
@@ -327,7 +326,6 @@ TEST(RpcServe, CustodySpansTileReportedLatency)
     EXPECT_GE(span, latencyTicks - sim::microseconds(2));
 }
 
-#endif // UNET_TRACE
 
 /**
  * Fan-in wider than the old fixed-endpoint ceiling: 72 clients is more

@@ -175,6 +175,34 @@ TEST(Perturb, SetSaltOnNonIdleQueueDies)
     }, "non-idle");
 }
 
+TEST(Perturb, ParseSaltAcceptsUnsignedIntegers)
+{
+    EXPECT_EQ(perturb::parseSalt(nullptr), 0u);
+    EXPECT_EQ(perturb::parseSalt(""), 0u);
+    EXPECT_EQ(perturb::parseSalt("0"), 0u);
+    EXPECT_EQ(perturb::parseSalt("5"), 5u);
+    EXPECT_EQ(perturb::parseSalt("0x2a"), 42u);
+    EXPECT_EQ(perturb::parseSalt("18446744073709551615"),
+              18446744073709551615u);
+}
+
+TEST(Perturb, ParseSaltRejectsMalformedValues)
+{
+    // A typo must not silently run unperturbed: that would make a
+    // determinism run vacuous.
+    EXPECT_EXIT(perturb::parseSalt("7x"), ::testing::ExitedWithCode(1),
+                "UNET_PERTURB=7x");
+    EXPECT_EXIT(perturb::parseSalt("abc"), ::testing::ExitedWithCode(1),
+                "UNET_PERTURB=abc");
+    EXPECT_EXIT(perturb::parseSalt("-1"), ::testing::ExitedWithCode(1),
+                "UNET_PERTURB=-1");
+    EXPECT_EXIT(perturb::parseSalt(" 3"), ::testing::ExitedWithCode(1),
+                "UNET_PERTURB= 3");
+    EXPECT_EXIT(perturb::parseSalt("18446744073709551616"),
+                ::testing::ExitedWithCode(1),
+                "UNET_PERTURB=18446744073709551616");
+}
+
 TEST(Perturb, ScopedSaltSetsAndRestores)
 {
     const std::uint64_t before = perturb::salt();

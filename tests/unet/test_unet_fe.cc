@@ -207,7 +207,6 @@ TEST(UNetFe, SendProcessorOverheadMatchesFig3)
     EXPECT_LT(sim::toMicroseconds(elapsed), 6.5);
 }
 
-#if UNET_TRACE
 TEST(UNetFe, TxTimelineSumsToFourPointTwo)
 {
     FePair p;
@@ -244,7 +243,6 @@ TEST(UNetFe, TxTimelineSumsToFourPointTwo)
         (steps.back().end - steps.back().start));
     EXPECT_NEAR(trap / sim::toMicroseconds(total), 0.20, 0.03);
 }
-#endif // UNET_TRACE
 
 TEST(UNetFe, UnknownPortCounted)
 {
