@@ -23,8 +23,6 @@ double
 bidirectionalMbps(bool full_duplex)
 {
     RigOptions opts;
-    opts.overrideSwitch = true;
-    opts.switchSpec = eth::SwitchSpec::bay28115();
     opts.switchSpec.fullDuplex = full_duplex;
 
     sim::Simulation s;

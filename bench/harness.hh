@@ -10,23 +10,20 @@
 #ifndef UNET_BENCH_HARNESS_HH
 #define UNET_BENCH_HARNESS_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
-#include "fault/attach.hh"
+#include "fault/fault.hh"
 #include "obs/export.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topology.hh"
 
 namespace unet::bench {
 
@@ -102,7 +99,6 @@ struct RigOptions
     UNetFeSpec feSpec;
     nic::Pca200Spec pcaSpec;
     eth::SwitchSpec switchSpec = eth::SwitchSpec::bay28115();
-    bool overrideSwitch = false;
 };
 
 /**
@@ -116,50 +112,17 @@ class RawPair
 {
   public:
     RawPair(sim::Simulation &s, Fabric fabric, RigOptions opts = {})
-        : s(s), fabric(fabric), opts(opts)
-    {
-        host::CpuSpec cpu = host::CpuSpec::pentium120();
-        host::BusSpec bus = host::BusSpec::pci();
-        hostA = std::make_unique<host::Host>(s, "A", cpu, bus);
-        hostB = std::make_unique<host::Host>(s, "B", cpu, bus);
-
-        switch (fabric) {
-          case Fabric::FeHub:
-            hub = std::make_unique<eth::Hub>(s);
-            makeFe(*hub);
-            break;
-          case Fabric::FeBay:
-            sw = std::make_unique<eth::Switch>(
-                s, opts.overrideSwitch ? opts.switchSpec
-                                       : eth::SwitchSpec::bay28115());
-            makeFe(*sw);
-            break;
-          case Fabric::FeFn100:
-            sw = std::make_unique<eth::Switch>(
-                s, eth::SwitchSpec::fn100());
-            makeFe(*sw);
-            break;
-          case Fabric::AtmOc3:
-          case Fabric::AtmTaxi:
-            makeAtm(fabric == Fabric::AtmOc3 ? atm::LinkSpec::oc3()
-                                             : atm::LinkSpec::taxi140());
-            break;
-        }
-    }
+        : topology(s, spec(fabric, opts))
+    {}
 
     /** Create endpoints owned by the given processes and connect. */
     void
     wire(sim::Process &proc_a, sim::Process &proc_b,
          EndpointConfig cfg = {})
     {
-        epA = &unetA->createEndpoint(&proc_a, cfg);
-        epB = &unetB->createEndpoint(&proc_b, cfg);
-        if (feA) {
-            UNetFe::connect(*feA, *epA, *feB, *epB, chanA, chanB);
-        } else {
-            UNetAtm::connect(*atmA, *epA, portA, *atmB, *epB, portB,
-                             *signalling, chanA, chanB);
-        }
+        epA = &topology.unet(0).createEndpoint(&proc_a, cfg);
+        epB = &topology.unet(1).createEndpoint(&proc_b, cfg);
+        topology.connect(0, *epA, 1, *epB, chanA, chanB);
     }
 
     /**
@@ -169,28 +132,7 @@ class RawPair
      * declared *after* the Simulation: armed injectors register
      * metrics and must die first.
      */
-    void
-    attachFaults(fault::Plan &plan)
-    {
-        if (hub)
-            fault::attach(plan, s, *hub);
-        if (sw)
-            fault::attach(plan, s, *sw);
-        if (nicA)
-            fault::attach(plan, s, *nicA, ".a");
-        if (nicB)
-            fault::attach(plan, s, *nicB, ".b");
-        if (atmSw)
-            fault::attach(plan, s, *atmSw);
-        if (linkA)
-            fault::attach(plan, s, *linkA, ".a");
-        if (linkB)
-            fault::attach(plan, s, *linkB, ".b");
-        if (pcaA)
-            fault::attach(plan, s, *pcaA, ".a");
-        if (pcaB)
-            fault::attach(plan, s, *pcaB, ".b");
-    }
+    void attachFaults(fault::Plan &plan) { topology.attachFaults(plan); }
 
     /**
      * Connect two caller-created endpoints (A-side @p ep_a to B-side
@@ -201,121 +143,86 @@ class RawPair
     connectExtra(Endpoint &ep_a, Endpoint &ep_b, ChannelId &chan_a,
                  ChannelId &chan_b)
     {
-        if (feA) {
-            UNetFe::connect(*feA, ep_a, *feB, ep_b, chan_a, chan_b);
-        } else {
-            UNetAtm::connect(*atmA, ep_a, portA, *atmB, ep_b, portB,
-                             *signalling, chan_a, chan_b);
-        }
+        topology.connect(0, ep_a, 1, ep_b, chan_a, chan_b);
     }
 
     /** The given side's NIC endpoint-residency cache. */
     vep::ResidencyCache &
     residency(int side)
     {
-        if (feA)
-            return (side ? *feB : *feA).residency();
-        return (side ? *pcaB : *pcaA).residency();
+        int i = side ? 1 : 0;
+        return isAtm() ? topology.atm(i).nic.residency()
+                       : topology.fe(i).unet.residency();
     }
 
-    UNet &unetOf(int side) { return side ? *unetB : *unetA; }
+    UNet &unetOf(int side) { return topology.unet(side ? 1 : 0); }
     Endpoint &ep(int side) { return side ? *epB : *epA; }
     ChannelId chan(int side) const { return side ? chanB : chanA; }
-    host::Host &hostOf(int side) { return side ? *hostB : *hostA; }
+    host::Host &hostOf(int side) { return topology.host(side ? 1 : 0); }
 
-    bool isAtm() const { return atmA != nullptr; }
-
-    std::size_t
-    maxMessage() const
-    {
-        // Sweep both fabrics over the same axis; the paper plots up to
-        // the FE maximum (~1.5 KB).
-        return UNetFe::maxMessage;
-    }
+    bool isAtm() const { return topology.isAtm(); }
 
   private:
-    void
-    makeFe(eth::Network &net)
+    /** Hosts "A" and "B" (MAC indices 1 and 2, fault sites ".a"/".b")
+     *  on @p fabric. */
+    static topo::Spec
+    spec(Fabric fabric, const RigOptions &opts)
     {
-        nicA = std::make_unique<nic::Dc21140>(
-            *hostA, net, eth::MacAddress::fromIndex(1));
-        nicB = std::make_unique<nic::Dc21140>(
-            *hostB, net, eth::MacAddress::fromIndex(2));
-        auto fa = std::make_unique<UNetFe>(*hostA, *nicA, opts.feSpec);
-        auto fb = std::make_unique<UNetFe>(*hostB, *nicB, opts.feSpec);
-        feA = fa.get();
-        feB = fb.get();
-        unetA = std::move(fa);
-        unetB = std::move(fb);
+        topo::Spec sp{atm::SwitchSpec::asx200(), {}};
+        if (fabric == Fabric::FeHub)
+            sp.fabric = eth::HubSpec{};
+        else if (fabric == Fabric::FeBay)
+            sp.fabric = opts.switchSpec;
+        else if (fabric == Fabric::FeFn100)
+            sp.fabric = eth::SwitchSpec::fn100();
+        atm::LinkSpec link = fabric == Fabric::AtmTaxi
+                                 ? atm::LinkSpec::taxi140()
+                                 : atm::LinkSpec::oc3();
+        for (std::uint32_t i = 0; i < 2; ++i) {
+            topo::NodeSpec &node = sp.nodes.emplace_back();
+            node.name = i ? "B" : "A";
+            node.mac = i + 1;
+            node.atmLink = link;
+            node.fe = opts.feSpec;
+            node.pca = opts.pcaSpec;
+            node.faultSuffix = i ? ".b" : ".a";
+        }
+        return sp;
     }
 
-    void
-    makeAtm(atm::LinkSpec link_spec)
-    {
-        atmSw = std::make_unique<atm::Switch>(s);
-        signalling = std::make_unique<atm::Signalling>(*atmSw);
-        linkA = std::make_unique<atm::AtmLink>(s, link_spec);
-        linkB = std::make_unique<atm::AtmLink>(s, link_spec);
-        pcaA = std::make_unique<nic::Pca200>(*hostA, *linkA,
-                                             opts.pcaSpec);
-        pcaB = std::make_unique<nic::Pca200>(*hostB, *linkB,
-                                             opts.pcaSpec);
-        portA = atmSw->addPort(*linkA);
-        portB = atmSw->addPort(*linkB);
-        auto ua = std::make_unique<UNetAtm>(*hostA, *pcaA);
-        auto ub = std::make_unique<UNetAtm>(*hostB, *pcaB);
-        atmA = ua.get();
-        atmB = ub.get();
-        unetA = std::move(ua);
-        unetB = std::move(ub);
-    }
-
-    sim::Simulation &s;
-    Fabric fabric;
-    RigOptions opts;
-    std::unique_ptr<host::Host> hostA, hostB;
-    std::unique_ptr<eth::Hub> hub;
-    std::unique_ptr<eth::Switch> sw;
-    std::unique_ptr<nic::Dc21140> nicA, nicB;
-    std::unique_ptr<atm::Switch> atmSw;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::unique_ptr<atm::AtmLink> linkA, linkB;
-    std::unique_ptr<nic::Pca200> pcaA, pcaB;
-    std::unique_ptr<UNet> unetA, unetB;
-    UNetFe *feA = nullptr;
-    UNetFe *feB = nullptr;
-    UNetAtm *atmA = nullptr;
-    UNetAtm *atmB = nullptr;
-    std::size_t portA = 0, portB = 0;
+    topo::Topology topology;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 };
 
 /**
- * Compose and post one raw U-Net message of @p size bytes.
- *
- * @p force_fragment keeps the send on the zero-copy buffer-area path
- * even for small messages — the only TX path the paper's U-Net/FE
- * has (inline sends are a U-Net/ATM single-cell feature).
+ * One raw U-Net message of @p size bytes: inline if it fits, else one
+ * buffer-area fragment at @p tx_buf_offset. @p force_fragment keeps
+ * small messages on the zero-copy path — the only TX path the paper's
+ * U-Net/FE has (inline sends are a U-Net/ATM single-cell feature).
  */
+inline SendDescriptor
+rawDescriptor(UNet &un, ChannelId chan, std::size_t size,
+              std::uint32_t tx_buf_offset, bool force_fragment = false)
+{
+    auto len = static_cast<std::uint32_t>(size);
+    if (size > un.inlineMax() || force_fragment)
+        return fragmentSend(chan, {tx_buf_offset, len});
+    // The payload bytes are immaterial: send zeros.
+    static constexpr std::array<std::uint8_t, smallMessageMax> zeros{};
+    auto payload = std::span(zeros).first(std::min(size, zeros.size()));
+    return inlineSend(chan, payload);
+}
+
+/** Compose and post one raw U-Net message (see rawDescriptor()). */
 inline bool
 rawSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
         std::size_t size, std::uint32_t tx_buf_offset,
         bool force_fragment = false)
 {
-    SendDescriptor sd;
-    sd.channel = chan;
-    if (size <= un.inlineMax() && !force_fragment) {
-        sd.isInline = true;
-        sd.inlineLength = static_cast<std::uint32_t>(size);
-    } else {
-        sd.isInline = false;
-        sd.fragmentCount = 1;
-        sd.fragments[0] = {tx_buf_offset,
-                           static_cast<std::uint32_t>(size)};
-    }
-    return un.send(proc, ep, sd);
+    return un.send(proc, ep, rawDescriptor(un, chan, size, tx_buf_offset,
+                                           force_fragment));
 }
 
 /**
@@ -423,16 +330,8 @@ roundTripTracedUs(
     auto sendTraced = [&](UNet &un, sim::Process &self, Endpoint &ep,
                           ChannelId chan, sim::Tick handoff,
                           std::string_view app_track) {
-        SendDescriptor sd;
-        sd.channel = chan;
-        if (size <= un.inlineMax() && rig.isAtm()) {
-            sd.isInline = true;
-            sd.inlineLength = static_cast<std::uint32_t>(size);
-        } else {
-            sd.isInline = false;
-            sd.fragmentCount = 1;
-            sd.fragments[0] = {16384, static_cast<std::uint32_t>(size)};
-        }
+        SendDescriptor sd =
+            rawDescriptor(un, chan, size, 16384, !rig.isAtm());
         auto *tr = s.trace();
         tr->begin(sd.trace, handoff);
         // Application turnaround, from the previous custody end to this

@@ -28,6 +28,7 @@
 
 #include "am/active_messages.hh"
 #include "bench/harness.hh"
+#include "fault/attach.hh"
 #include "tests/unet/fixtures.hh"
 
 using namespace unet;

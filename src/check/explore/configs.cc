@@ -43,52 +43,15 @@
 #include <vector>
 
 #include "am/active_messages.hh"
-#include "atm/link.hh"
 #include "check/credits.hh"
 #include "check/explore/explore.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
-#include "fault/attach.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topology.hh"
 
 namespace unet::check::explore {
 
 namespace {
-
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNodeRig
-{
-    FeNodeRig(sim::Simulation &s, eth::Network &net, int index,
-              UNetFeSpec fe_spec = {})
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(
-                  static_cast<std::uint32_t>(index + 1))),
-          unet(host, nic, fe_spec)
-    {}
-
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** Post one single-fragment send (the only TX path U-Net/FE has). */
-bool
-sendFragment(UNet &un, sim::Process &proc, Endpoint &ep,
-             ChannelId chan, std::uint32_t offset, std::uint32_t len)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = {offset, len};
-    return un.send(proc, ep, sd);
-}
 
 /** Mix an endpoint's externally visible queue state. */
 void
@@ -118,7 +81,8 @@ class Fig5Instance : public ConfigInstance
     }
 
     Fig5Instance()
-        : hub(s), a(s, hub, 0), b(s, hub, 1),
+        : topology(s, topo::Spec::numbered(eth::HubSpec{}, 2)),
+          a(topology.fe(0)), b(topology.fe(1)),
           ping(s, "ping", [this](sim::Process &p) { pingBody(p); }),
           echo(s, "echo", [this](sim::Process &p) { echoBody(p); })
     {
@@ -129,7 +93,7 @@ class Fig5Instance : public ConfigInstance
         cfg.bufferAreaBytes = 32 * 1024;
         epA = &a.unet.createEndpoint(&ping, cfg);
         epB = &b.unet.createEndpoint(&echo, cfg);
-        UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+        topology.connect(0, *epA, 1, *epB, chanA, chanB);
         echo.start();
         ping.start(sim::microseconds(5));
     }
@@ -191,8 +155,8 @@ class Fig5Instance : public ConfigInstance
     {
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
-            if (!sendFragment(a.unet, self, *epA, chanA, 16384,
-                              length(r)))
+            if (!a.unet.send(self, *epA,
+                             fragmentSend(chanA, {16384, length(r)})))
                 UNET_PANIC("fig5: ping send ", r, " refused");
             a.unet.flush(self, *epA);
             if (!epA->wait(self, rd, sim::seconds(1)))
@@ -209,16 +173,16 @@ class Fig5Instance : public ConfigInstance
             if (!epB->wait(self, rd, sim::seconds(1)))
                 UNET_PANIC("fig5: echo timed out in round ", r);
             echoSeen.push_back(rd.length);
-            if (!sendFragment(b.unet, self, *epB, chanB, 16384,
-                              rd.length))
+            if (!b.unet.send(self, *epB,
+                             fragmentSend(chanB, {16384, rd.length})))
                 UNET_PANIC("fig5: echo send ", r, " refused");
             b.unet.flush(self, *epB);
         }
     }
 
     sim::Simulation s;
-    eth::Hub hub;
-    FeNodeRig a, b;
+    topo::Topology topology;
+    topo::FeNode &a, &b;
     sim::Process ping, echo;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
@@ -239,7 +203,8 @@ class RetransmitInstance : public ConfigInstance
     static constexpr std::uint32_t messages = 3;
 
     RetransmitInstance()
-        : link(s), a(s, link, 0), b(s, link, 1),
+        : topology(s, topo::Spec::numbered(topo::EthLinkSpec{}, 2)),
+          a(topology.fe(0)), b(topology.fe(1)),
           procA(s, "A", [this](sim::Process &p) { body(p, 0); }),
           procB(s, "B", [this](sim::Process &p) { body(p, 1); })
     {
@@ -250,7 +215,7 @@ class RetransmitInstance : public ConfigInstance
         cfg.bufferAreaBytes = 64 * 1024;
         epA = &a.unet.createEndpoint(&procA, cfg);
         epB = &b.unet.createEndpoint(&procB, cfg);
-        UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+        topology.connect(0, *epA, 1, *epB, chanA, chanB);
 
         amA = std::make_unique<am::ActiveMessages>(a.unet, *epA);
         amB = std::make_unique<am::ActiveMessages>(b.unet, *epB);
@@ -271,7 +236,7 @@ class RetransmitInstance : public ConfigInstance
         // A->B direction are dropped (direction 0 belongs to the
         // first-attached station, node a). Consumes no randomness.
         plan.model("eth.link.0").dropUnits = {1, 2};
-        fault::attach(plan, s, link);
+        topology.attachFaults(plan);
 
         // Same tick on both sides: their request trains and the
         // crossing ACK/data traffic are the permutable events.
@@ -360,8 +325,8 @@ class RetransmitInstance : public ConfigInstance
     }
 
     sim::Simulation s;
-    eth::FullDuplexLink link;
-    FeNodeRig a, b;
+    topo::Topology topology;
+    topo::FeNode &a, &b;
     sim::Process procA, procB;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
@@ -391,7 +356,11 @@ class DemuxInstance : public ConfigInstance
         return 40 + static_cast<std::uint32_t>(lane);
     }
 
-    DemuxInstance() : sw(s), b(s, sw, lanes)
+    /** Receiver b is node 0; sender i is node i + 1. */
+    DemuxInstance()
+        : topology(s,
+                   topo::Spec::numbered(eth::SwitchSpec{}, lanes, {lanes})),
+          b(topology.fe(0))
     {
         EndpointConfig cfg;
         cfg.sendQueueDepth = 8;
@@ -399,19 +368,16 @@ class DemuxInstance : public ConfigInstance
         cfg.freeQueueDepth = 8;
         cfg.bufferAreaBytes = 16 * 1024;
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
-            epA.push_back(&nodes[static_cast<std::size_t>(i)]
-                               ->unet.createEndpoint(
-                                   senders.back().get(), cfg));
+            UNet &un = topology.unet(i + 1);
+            epA.push_back(&un.createEndpoint(senders.back().get(), cfg));
             // Receiver endpoints have no process: messages are small,
             // land descriptor-inline, and are polled at the end.
             epB.push_back(&b.unet.createEndpoint(nullptr, cfg));
             ChannelId ca = invalidChannel, cb = invalidChannel;
-            UNetFe::connect(nodes[static_cast<std::size_t>(i)]->unet,
-                            *epA.back(), b.unet, *epB.back(), ca, cb);
+            topology.connect(i + 1, *epA.back(), 0, *epB.back(), ca, cb);
             chans.push_back(ca);
         }
         for (auto &proc : senders)
@@ -466,19 +432,18 @@ class DemuxInstance : public ConfigInstance
     void
     senderBody(sim::Process &self, int i)
     {
-        UNetFe &un = nodes[static_cast<std::size_t>(i)]->unet;
+        UNetFe &un = topology.fe(i + 1).unet;
         Endpoint &ep = *epA[static_cast<std::size_t>(i)];
-        if (!sendFragment(un, self, ep,
-                          chans[static_cast<std::size_t>(i)], 0,
-                          length(i)))
+        if (!un.send(self, ep,
+                     fragmentSend(chans[static_cast<std::size_t>(i)],
+                                  {0, length(i)})))
             UNET_PANIC("demux: sender ", i, " refused");
         un.flush(self, ep);
     }
 
     sim::Simulation s;
-    eth::Switch sw;
-    FeNodeRig b;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
+    topo::Topology topology;
+    topo::FeNode &b;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     std::vector<ChannelId> chans;
@@ -585,13 +550,9 @@ class SendvRaceInstance : public ConfigInstance
     }
 
     SendvRaceInstance()
-        : link(s, atm::LinkSpec::oc3()),
-          hostA(s, "a", host::CpuSpec::pentium120(),
-                host::BusSpec::pci()),
-          hostB(s, "b", host::CpuSpec::pentium120(),
-                host::BusSpec::pci()),
-          nicA(hostA, link), nicB(hostB, link), ua(hostA, nicA),
-          ub(hostB, nicB)
+        : topology(s,
+                   {atm::LinkSpec::oc3(), {{.name = "a"}, {.name = "b"}}}),
+          a(topology.atm(0)), b(topology.atm(1))
     {
         EndpointConfig cfg;
         cfg.sendQueueDepth = 8;
@@ -603,14 +564,13 @@ class SendvRaceInstance : public ConfigInstance
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
             epA.push_back(
-                &ua.createEndpoint(senders.back().get(), cfg));
+                &a.unet.createEndpoint(senders.back().get(), cfg));
             // Receiver endpoints have no process: messages are small,
             // land descriptor-inline, and are polled at the end.
-            epB.push_back(&ub.createEndpoint(nullptr, cfg));
+            epB.push_back(&b.unet.createEndpoint(nullptr, cfg));
             ChannelId ca = invalidChannel, cb = invalidChannel;
-            UNetAtm::connectDirect(
-                ua, *epA.back(), ub, *epB.back(),
-                static_cast<atm::Vci>(10 + i), ca, cb);
+            topology.connect(0, *epA.back(), 1, *epB.back(), ca, cb,
+                             static_cast<atm::Vci>(10 + i));
             chans.push_back(ca);
             credits[i].setLimit(cfg.sendQueueDepth);
         }
@@ -649,7 +609,7 @@ class SendvRaceInstance : public ConfigInstance
         for (int i = 0; i < lanes; ++i) {
             Endpoint &ep = *epB[static_cast<std::size_t>(i)];
             RecvDescriptor out[batch + 1];
-            std::size_t got = ub.pollv(ep, out, batch + 1);
+            std::size_t got = b.unet.pollv(ep, out, batch + 1);
             if (got != batch)
                 UNET_PANIC("sendv-race: lane ", i, " delivered ", got,
                            " of ", batch, " messages");
@@ -681,8 +641,8 @@ class SendvRaceInstance : public ConfigInstance
             mixEndpoint(d, *epA[static_cast<std::size_t>(i)]);
             mixEndpoint(d, *epB[static_cast<std::size_t>(i)]);
         }
-        d.mix(nicA.messagesSent());
-        d.mix(nicB.messagesDelivered());
+        d.mix(a.nic.messagesSent());
+        d.mix(b.nic.messagesDelivered());
     }
 
   private:
@@ -706,18 +666,16 @@ class SendvRaceInstance : public ConfigInstance
         for (std::uint32_t k = 0; k < batch; ++k)
             credits[i].acquire();
         std::size_t accepted =
-            ua.sendv(self, *epA[static_cast<std::size_t>(i)], descs,
-                     batch);
+            a.unet.sendv(self, *epA[static_cast<std::size_t>(i)], descs,
+                         batch);
         if (accepted != batch)
             UNET_PANIC("sendv-race: lane ", i, " sendv accepted ",
                        accepted, " of ", batch);
     }
 
     sim::Simulation s;
-    atm::AtmLink link;
-    host::Host hostA, hostB;
-    nic::Pca200 nicA, nicB;
-    UNetAtm ua, ub;
+    topo::Topology topology;
+    topo::AtmNode &a, &b;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     std::vector<ChannelId> chans;
@@ -753,13 +711,9 @@ class AtmCmdQueueInstance : public ConfigInstance
     }
 
     AtmCmdQueueInstance()
-        : link(s, atm::LinkSpec::oc3()),
-          hostA(s, "a", host::CpuSpec::pentium120(),
-                host::BusSpec::pci()),
-          hostB(s, "b", host::CpuSpec::pentium120(),
-                host::BusSpec::pci()),
-          nicA(hostA, link), nicB(hostB, link), ua(hostA, nicA),
-          ub(hostB, nicB)
+        : topology(s,
+                   {atm::LinkSpec::oc3(), {{.name = "a"}, {.name = "b"}}}),
+          a(topology.atm(0)), b(topology.atm(1))
     {
         EndpointConfig cfg;
         cfg.sendQueueDepth = 8;
@@ -771,14 +725,13 @@ class AtmCmdQueueInstance : public ConfigInstance
                 s, "cmd" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
             epA.push_back(
-                &ua.createEndpoint(senders.back().get(), cfg));
+                &a.unet.createEndpoint(senders.back().get(), cfg));
             // Receiver endpoints have no process: single-cell messages
             // land descriptor-inline and are polled at the end.
-            epB.push_back(&ub.createEndpoint(nullptr, cfg));
+            epB.push_back(&b.unet.createEndpoint(nullptr, cfg));
             ChannelId ca = invalidChannel, cb = invalidChannel;
-            UNetAtm::connectDirect(
-                ua, *epA.back(), ub, *epB.back(),
-                static_cast<atm::Vci>(20 + i), ca, cb);
+            topology.connect(0, *epA.back(), 1, *epB.back(), ca, cb,
+                             static_cast<atm::Vci>(20 + i));
             chans.push_back(ca);
         }
         // Same tick: the wakeup order is the first choice point. Lane 1
@@ -813,7 +766,7 @@ class AtmCmdQueueInstance : public ConfigInstance
         for (int i = 0; i < lanes; ++i) {
             Endpoint &ep = *epB[static_cast<std::size_t>(i)];
             RecvDescriptor out[messages + 1];
-            std::size_t got = ub.pollv(ep, out, messages + 1);
+            std::size_t got = b.unet.pollv(ep, out, messages + 1);
             if (got != messages)
                 UNET_PANIC("atm-cmdqueue: lane ", i, " delivered ",
                            got, " of ", messages, " messages");
@@ -840,8 +793,8 @@ class AtmCmdQueueInstance : public ConfigInstance
             mixEndpoint(d, *epA[static_cast<std::size_t>(i)]);
             mixEndpoint(d, *epB[static_cast<std::size_t>(i)]);
         }
-        d.mix(nicA.messagesSent());
-        d.mix(nicB.messagesDelivered());
+        d.mix(a.nic.messagesSent());
+        d.mix(b.nic.messagesDelivered());
     }
 
   private:
@@ -861,20 +814,18 @@ class AtmCmdQueueInstance : public ConfigInstance
             sd.inlineLength =
                 static_cast<std::uint8_t>(length(i, k));
             sd.inlineData[0] = static_cast<std::uint8_t>(k);
-            if (!ua.send(self, *epA[static_cast<std::size_t>(i)], sd))
+            if (!a.unet.send(self, *epA[static_cast<std::size_t>(i)], sd))
                 UNET_PANIC("atm-cmdqueue: lane ", i, " send ", k,
                            " refused");
             // One doorbell command per descriptor: the command-queue
             // traffic the firmware polls race against.
-            ua.flush(self, *epA[static_cast<std::size_t>(i)]);
+            a.unet.flush(self, *epA[static_cast<std::size_t>(i)]);
         }
     }
 
     sim::Simulation s;
-    atm::AtmLink link;
-    host::Host hostA, hostB;
-    nic::Pca200 nicA, nicB;
-    UNetAtm ua, ub;
+    topo::Topology topology;
+    topo::AtmNode &a, &b;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     std::vector<ChannelId> chans;
@@ -904,7 +855,11 @@ class UpcallInstance : public ConfigInstance
         return 40 + 8 * static_cast<std::uint32_t>(lane) + k;
     }
 
-    UpcallInstance() : sw(s), b(s, sw, lanes)
+    /** Receiver b is node 0; sender i is node i + 1. */
+    UpcallInstance()
+        : topology(s,
+                   topo::Spec::numbered(eth::SwitchSpec{}, lanes, {lanes})),
+          b(topology.fe(0))
     {
         EndpointConfig cfg;
         cfg.sendQueueDepth = 8;
@@ -921,16 +876,13 @@ class UpcallInstance : public ConfigInstance
             },
             sim::microseconds(5));
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
-            epA.push_back(&nodes[static_cast<std::size_t>(i)]
-                               ->unet.createEndpoint(
-                                   senders.back().get(), cfg));
+            UNet &un = topology.unet(i + 1);
+            epA.push_back(&un.createEndpoint(senders.back().get(), cfg));
             ChannelId ca = invalidChannel, cb = invalidChannel;
-            UNetFe::connect(nodes[static_cast<std::size_t>(i)]->unet,
-                            *epA.back(), b.unet, *epB, ca, cb);
+            topology.connect(i + 1, *epA.back(), 0, *epB, ca, cb);
             chans.push_back(ca);
         }
         for (auto &proc : senders)
@@ -994,14 +946,14 @@ class UpcallInstance : public ConfigInstance
     void
     senderBody(sim::Process &self, int i)
     {
-        UNetFe &un = nodes[static_cast<std::size_t>(i)]->unet;
+        UNetFe &un = topology.fe(i + 1).unet;
         Endpoint &ep = *epA[static_cast<std::size_t>(i)];
         for (std::uint32_t k = 0; k < messages; ++k) {
             // Distinct gather regions: the first frame's buffer stays
             // agent-owned until it leaves the NIC.
-            if (!sendFragment(un, self, ep,
-                              chans[static_cast<std::size_t>(i)],
-                              k * 4096, length(i, k)))
+            if (!un.send(self, ep,
+                         fragmentSend(chans[static_cast<std::size_t>(i)],
+                                      {k * 4096, length(i, k)})))
                 UNET_PANIC("upcall: sender ", i, " send ", k,
                            " refused");
             un.flush(self, ep);
@@ -1009,9 +961,8 @@ class UpcallInstance : public ConfigInstance
     }
 
     sim::Simulation s;
-    eth::Switch sw;
-    FeNodeRig b;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
+    topo::Topology topology;
+    topo::FeNode &b;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA;
     Endpoint *epB = nullptr;
@@ -1051,7 +1002,7 @@ class EpEvictInstance : public ConfigInstance
     static constexpr std::uint32_t beeLength = 52;
 
     EpEvictInstance()
-        : sw(s), b(s, sw, lanes, receiverSpec()), c(s, sw, lanes + 1),
+        : topology(s, spec()), b(topology.fe(0)), c(topology.fe(1)),
           bee(s, "bee", [this](sim::Process &p) { beeBody(p); })
     {
         EndpointConfig cfg;
@@ -1065,21 +1016,16 @@ class EpEvictInstance : public ConfigInstance
             epB.push_back(&b.unet.createEndpoint(
                 i == 0 ? &bee : nullptr, cfg));
         epC = &c.unet.createEndpoint(nullptr, cfg);
-        UNetFe::connect(b.unet, *epB[0], c.unet, *epC, chanBee,
-                        chanAtC);
+        topology.connect(0, *epB[0], 1, *epC, chanBee, chanAtC);
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
-            epA.push_back(&nodes[static_cast<std::size_t>(i)]
-                               ->unet.createEndpoint(
-                                   senders.back().get(), cfg));
+            UNet &un = topology.unet(i + 2);
+            epA.push_back(&un.createEndpoint(senders.back().get(), cfg));
             ChannelId ca = invalidChannel, cb = invalidChannel;
-            UNetFe::connect(nodes[static_cast<std::size_t>(i)]->unet,
-                            *epA.back(),
-                            b.unet, *epB[static_cast<std::size_t>(i)],
-                            ca, cb);
+            topology.connect(i + 2, *epA.back(), 0,
+                             *epB[static_cast<std::size_t>(i)], ca, cb);
             chans.push_back(ca);
         }
         for (auto &proc : senders)
@@ -1165,19 +1111,22 @@ class EpEvictInstance : public ConfigInstance
     }
 
   private:
-    static UNetFeSpec
-    receiverSpec()
+    /** Receiver b (node 0, a hotCapacity-slot hot set), node c (node
+     *  1), then sender i as node i + 2. */
+    static topo::Spec
+    spec()
     {
-        UNetFeSpec spec;
-        spec.vep.hotCapacity = hotCapacity;
-        return spec;
+        topo::Spec sp = topo::Spec::numbered(eth::SwitchSpec{}, lanes,
+                                             {lanes, lanes + 1});
+        sp.nodes[0].fe.vep.hotCapacity = hotCapacity;
+        return sp;
     }
 
     void
     beeBody(sim::Process &self)
     {
-        if (!sendFragment(b.unet, self, *epB[0], chanBee, 0,
-                          beeLength))
+        if (!b.unet.send(self, *epB[0],
+                         fragmentSend(chanBee, {0, beeLength})))
             UNET_PANIC("ep-evict: bee send refused");
         b.unet.flush(self, *epB[0]);
     }
@@ -1185,20 +1134,19 @@ class EpEvictInstance : public ConfigInstance
     void
     senderBody(sim::Process &self, int i)
     {
-        UNetFe &un = nodes[static_cast<std::size_t>(i)]->unet;
+        UNetFe &un = topology.fe(i + 2).unet;
         Endpoint &ep = *epA[static_cast<std::size_t>(i)];
-        if (!sendFragment(un, self, ep,
-                          chans[static_cast<std::size_t>(i)], 0,
-                          length(i)))
+        if (!un.send(self, ep,
+                     fragmentSend(chans[static_cast<std::size_t>(i)],
+                                  {0, length(i)})))
             UNET_PANIC("ep-evict: sender ", i, " refused");
         un.flush(self, ep);
     }
 
     sim::Simulation s;
-    eth::Switch sw;
-    FeNodeRig b, c;
+    topo::Topology topology;
+    topo::FeNode &b, &c;
     sim::Process bee;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     Endpoint *epC = nullptr;

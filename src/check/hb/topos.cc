@@ -5,48 +5,15 @@
 
 #include "am/active_messages.hh"
 #include "check/hb/report.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "fault/attach.hh"
 #include "fault/fault.hh"
 #include "serve/rig.hh"
 #include "sim/logging.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topology.hh"
 #include "unet/vep/vep.hh"
 
 namespace unet::check::hb {
 
 namespace {
-
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNode
-{
-    FeNode(sim::Simulation &s, eth::Network &net, int index)
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(
-                  static_cast<std::uint32_t>(index + 1))),
-          unet(host, nic, {})
-    {}
-
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** Post one single-fragment send on the U-Net/FE TX path. */
-bool
-postSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
-         std::uint32_t offset, std::uint32_t len)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = {offset, len};
-    return un.send(proc, ep, sd);
-}
 
 EndpointConfig
 smallEndpoint()
@@ -81,15 +48,15 @@ runFig5()
 {
     constexpr int rounds = 2;
     sim::Simulation s;
-    eth::Hub hub(s);
-    FeNode a(s, hub, 0), b(s, hub, 1);
+    topo::Topology topology(s, topo::Spec::numbered(eth::HubSpec{}, 2));
+    topo::FeNode &a = topology.fe(0), &b = topology.fe(1);
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
-            if (!postSend(a.unet, self, *epA, chanA, 16384, 48))
+            if (!a.unet.send(self, *epA, fragmentSend(chanA, {16384, 48})))
                 UNET_PANIC("hb fig5: ping send refused");
             a.unet.flush(self, *epA);
             if (!epA->wait(self, rd, sim::seconds(1)))
@@ -101,8 +68,8 @@ runFig5()
         for (int r = 0; r < rounds; ++r) {
             if (!epB->wait(self, rd, sim::seconds(1)))
                 UNET_PANIC("hb fig5: echo timed out");
-            if (!postSend(b.unet, self, *epB, chanB, 16384,
-                          rd.length))
+            if (!b.unet.send(self, *epB,
+                             fragmentSend(chanB, {16384, rd.length})))
                 UNET_PANIC("hb fig5: echo send refused");
             b.unet.flush(self, *epB);
         }
@@ -112,7 +79,7 @@ runFig5()
 
     epA = &a.unet.createEndpoint(&ping, smallEndpoint());
     epB = &b.unet.createEndpoint(&echo, smallEndpoint());
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    topology.connect(0, *epA, 1, *epB, chanA, chanB);
 
     Auditor auditor(s);
     echo.start();
@@ -134,8 +101,9 @@ runFault()
 {
     static constexpr std::uint32_t messages = 3;
     sim::Simulation s;
-    eth::FullDuplexLink link(s);
-    FeNode a(s, link, 0), b(s, link, 1);
+    topo::Topology topology(s,
+                            topo::Spec::numbered(topo::EthLinkSpec{}, 2));
+    topo::FeNode &a = topology.fe(0), &b = topology.fe(1);
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
     std::unique_ptr<am::ActiveMessages> amA, amB;
@@ -171,7 +139,7 @@ runFault()
     cfg.bufferAreaBytes = 64 * 1024;
     epA = &a.unet.createEndpoint(&procA, cfg);
     epB = &b.unet.createEndpoint(&procB, cfg);
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    topology.connect(0, *epA, 1, *epB, chanA, chanB);
 
     amA = std::make_unique<am::ActiveMessages>(a.unet, *epA);
     amB = std::make_unique<am::ActiveMessages>(b.unet, *epB);
@@ -192,7 +160,7 @@ runFault()
     // dropped. Declared before attach, destroyed after the sim.
     fault::Plan plan;
     plan.model("eth.link.0").dropUnits = {1, 2};
-    fault::attach(plan, s, link);
+    topology.attachFaults(plan);
 
     Auditor auditor(s);
     procA.start(sim::microseconds(5));
@@ -273,14 +241,14 @@ TopoResult
 runPlantedRw()
 {
     sim::Simulation s;
-    eth::Hub hub(s);
-    FeNode a(s, hub, 0), b(s, hub, 1);
+    topo::Topology topology(s, topo::Spec::numbered(eth::HubSpec{}, 2));
+    topo::FeNode &a = topology.fe(0), &b = topology.fe(1);
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         RecvDescriptor rd;
-        if (!postSend(a.unet, self, *epA, chanA, 16384, 48))
+        if (!a.unet.send(self, *epA, fragmentSend(chanA, {16384, 48})))
             UNET_PANIC("hb planted-rw: send refused");
         a.unet.flush(self, *epA);
         if (!epA->wait(self, rd, sim::seconds(1)))
@@ -290,7 +258,8 @@ runPlantedRw()
         RecvDescriptor rd;
         if (!epB->wait(self, rd, sim::seconds(1)))
             UNET_PANIC("hb planted-rw: echo timed out");
-        if (!postSend(b.unet, self, *epB, chanB, 16384, rd.length))
+        if (!b.unet.send(self, *epB,
+                         fragmentSend(chanB, {16384, rd.length})))
             UNET_PANIC("hb planted-rw: echo send refused");
         b.unet.flush(self, *epB);
     });
@@ -309,7 +278,7 @@ runPlantedRw()
 
     epA = &a.unet.createEndpoint(&ping, smallEndpoint());
     epB = &b.unet.createEndpoint(&echo, smallEndpoint());
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    topology.connect(0, *epA, 1, *epB, chanA, chanB);
 
     Auditor auditor(s);
     echo.start();

@@ -21,13 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
 #include "splitc/runtime.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topology.hh"
 
 namespace unet::cluster {
 
@@ -105,8 +100,8 @@ class Cluster
     sim::Simulation &simulation() { return sim; }
 
     splitc::Runtime &runtime(int i) { return *nodes.at(i)->runtime; }
-    host::Host &hostOf(int i) { return *nodes.at(i)->host; }
-    UNet &unetOf(int i) { return *nodes.at(i)->unet; }
+    host::Host &hostOf(int i) { return topology.host(i); }
+    UNet &unetOf(int i) { return topology.unet(i); }
     Endpoint &endpointOf(int i) { return *nodes.at(i)->endpoint; }
 
     /**
@@ -120,11 +115,6 @@ class Cluster
   private:
     struct Node
     {
-        std::unique_ptr<host::Host> host;
-        std::unique_ptr<atm::AtmLink> link;   ///< ATM only
-        std::unique_ptr<nic::Dc21140> nicFe;  ///< FE only
-        std::unique_ptr<nic::Pca200> nicAtm;  ///< ATM only
-        std::unique_ptr<UNet> unet;
         Endpoint *endpoint = nullptr;
         std::unique_ptr<splitc::Runtime> runtime;
         std::unique_ptr<sim::Process> proc;
@@ -133,13 +123,7 @@ class Cluster
 
     sim::Simulation &sim;
     Config config;
-
-    // Fabric (one of these is populated).
-    std::unique_ptr<eth::Hub> hub;
-    std::unique_ptr<eth::Switch> ethSwitch;
-    std::unique_ptr<atm::Switch> atmSwitch;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::vector<std::size_t> atmPorts;
+    topo::Topology topology;
 
     std::vector<std::unique_ptr<Node>> nodes;
     std::function<void(splitc::Runtime &, sim::Process &)> mainFn;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "fault/attach.hh"
 #include "sim/logging.hh"
 
 namespace unet::serve {
@@ -22,96 +21,56 @@ serverEndpointConfig(int clients)
     return ep;
 }
 
-} // namespace
-
-ServeRig::ServeRig(RigSpec s)
-    : spec(std::move(s)), sim(spec.seed),
-      plan(spec.faults.empty() ? fault::Plan{}
-                               : fault::Plan::parse(spec.faults))
+/** The server (node 0), then client i as node 1 + i. */
+topo::Spec
+topologyOf(const RigSpec &spec)
 {
     if (spec.clients < 1)
         UNET_FATAL("serve rig needs at least one client");
     if (spec.methods.empty())
         UNET_FATAL("serve rig needs at least one method");
 
-    // Fabric first.
+    topo::Spec t;
     if (spec.nic == NicKind::Fe) {
         eth::SwitchSpec sw = eth::SwitchSpec::bay28115();
         // The paper's switch has 16 ports; serving incast wants
         // hundreds. Model a stacked deployment: same per-port
         // behaviour, no port cap.
         sw.maxPorts = 0;
-        ethSwitch = std::make_unique<eth::Switch>(sim, sw);
-        fault::attach(plan, sim, *ethSwitch);
+        t.fabric = sw;
     } else {
-        atmSwitch = std::make_unique<atm::Switch>(
-            sim, atm::SwitchSpec::asx200());
-        signalling = std::make_unique<atm::Signalling>(*atmSwitch);
-        fault::attach(plan, sim, *atmSwitch);
+        t.fabric = atm::SwitchSpec::asx200();
     }
 
-    // Server node (MAC index 1 / first switch port).
-    serverHost = std::make_unique<host::Host>(
-        sim, "server", host::CpuSpec::pentium120(),
-        host::BusSpec::pci());
-    if (spec.nic == NicKind::Fe) {
-        serverNicFe = std::make_unique<nic::Dc21140>(
-            *serverHost, *ethSwitch, eth::MacAddress::fromIndex(1));
-        serverUnet = std::make_unique<UNetFe>(*serverHost,
-                                              *serverNicFe);
-        fault::attach(plan, sim, *serverNicFe, ".s");
-    } else {
-        serverLink = std::make_unique<atm::AtmLink>(sim,
-                                                    spec.atmLink);
-        serverNicAtm = std::make_unique<nic::Pca200>(*serverHost,
-                                                     *serverLink);
-        serverUnet = std::make_unique<UNetAtm>(*serverHost,
-                                               *serverNicAtm);
-        fault::attach(plan, sim, *serverLink, ".s");
-    }
-
-    // Client nodes.
+    // Server first: MAC index 1, the first "atm.link".
+    t.nodes.push_back({.name = "server", .mac = 1, .atmLink = spec.atmLink,
+                       .faultSuffix = ".s"});
     for (int i = 0; i < spec.clients; ++i) {
-        auto node = std::make_unique<ClientNode>();
-        node->host = std::make_unique<host::Host>(
-            sim, "c" + std::to_string(i), host::CpuSpec::pentium120(),
-            host::BusSpec::pci());
-        if (spec.nic == NicKind::Fe) {
-            node->nicFe = std::make_unique<nic::Dc21140>(
-                *node->host, *ethSwitch,
-                eth::MacAddress::fromIndex(
-                    static_cast<std::uint32_t>(i + 2)));
-            node->unet = std::make_unique<UNetFe>(*node->host,
-                                                  *node->nicFe);
-            fault::attach(plan, sim, *node->nicFe,
-                          ".c" + std::to_string(i));
-        } else {
-            // Distinct per-client propagation delays (cable-length
-            // spread): with every node sharing cell-time and firmware
-            // quantization constants, identical delays would land
-            // independent clients' cells on the switch at the same
-            // tick — a physically arbitrary tie the perturbation
-            // auditor rightly flags. A picosecond per port breaks
-            // every such tie without measurable latency effect.
-            atm::LinkSpec link = spec.atmLink;
-            link.propDelay += i + 1;
-            node->link = std::make_unique<atm::AtmLink>(sim, link);
-            node->nicAtm = std::make_unique<nic::Pca200>(*node->host,
-                                                         *node->link);
-            node->unet = std::make_unique<UNetAtm>(*node->host,
-                                                   *node->nicAtm);
-            fault::attach(plan, sim, *node->link,
-                          ".c" + std::to_string(i));
-        }
-        clients.push_back(std::move(node));
+        // Distinct per-client propagation delays (cable-length
+        // spread): with every node sharing cell-time and firmware
+        // quantization constants, identical delays would land
+        // independent clients' cells on the switch at the same tick —
+        // a physically arbitrary tie the perturbation auditor rightly
+        // flags. A picosecond per port breaks every such tie without
+        // measurable latency effect.
+        atm::LinkSpec link = spec.atmLink;
+        link.propDelay += i + 1;
+        t.nodes.push_back({.name = "c" + std::to_string(i),
+                           .mac = static_cast<std::uint32_t>(i + 2),
+                           .atmLink = link,
+                           .faultSuffix = ".c" + std::to_string(i)});
     }
+    return t;
+}
 
-    // ATM ports: clients in index order, server last.
-    if (spec.nic == NicKind::Atm) {
-        for (auto &node : clients)
-            atmPorts.push_back(atmSwitch->addPort(*node->link));
-        atmPorts.push_back(atmSwitch->addPort(*serverLink));
-    }
+} // namespace
+
+ServeRig::ServeRig(RigSpec s)
+    : spec(std::move(s)), sim(spec.seed), topology(sim, topologyOf(spec)),
+      plan(spec.faults.empty() ? fault::Plan{}
+                               : fault::Plan::parse(spec.faults))
+{
+    topology.attachFaults(plan);
 
     // Processes, endpoints, RPC layers.
     serverProc = std::make_unique<sim::Process>(
@@ -125,8 +84,8 @@ ServeRig::ServeRig(RigSpec s)
         4 * 1024 * 1024);
     // Shard attribution for the happens-before auditor: the server
     // fiber's work belongs to the server host's shard.
-    serverProc->bindShardDomain(serverHost->name());
-    serverOs = std::make_unique<OsService>(*serverUnet, spec.osLimits);
+    serverProc->bindShardDomain(topology.host(0).name());
+    serverOs = std::make_unique<OsService>(topology.unet(0), spec.osLimits);
     serverEp = serverOs->createEndpoint(
         *serverProc, serverEndpointConfig(spec.clients));
     if (!serverEp)
@@ -134,14 +93,15 @@ ServeRig::ServeRig(RigSpec s)
 
     _stats = std::make_unique<ServeStats>(
         sim.metrics(), spec.methods.size(), spec.slo);
-    _server = std::make_unique<RpcServer>(*serverUnet, *serverEp,
+    _server = std::make_unique<RpcServer>(topology.unet(0), *serverEp,
                                           spec.serverAm, spec.seed);
     for (const MethodSpec &m : spec.methods)
         _server->addMethod(m);
 
     clientOk.assign(static_cast<std::size_t>(spec.clients), false);
     for (int i = 0; i < spec.clients; ++i) {
-        ClientNode &node = *clients[i];
+        ClientNode &node =
+            *clients.emplace_back(std::make_unique<ClientNode>());
         node.proc = std::make_unique<sim::Process>(
             sim, "client" + std::to_string(i),
             [this, i](sim::Process &p) {
@@ -171,7 +131,6 @@ ServeRig::ServeRig(RigSpec s)
                     ok = runOpenLoop(p, *n.rpc, params, ol);
                 }
                 clientOk[static_cast<std::size_t>(i)] = ok;
-                n.finishedAt = p.simulation().now();
                 ++finishedClients;
                 // Two-phase shutdown: keep polling (ACKing the
                 // server's drain-phase retransmits) until the server
@@ -181,8 +140,8 @@ ServeRig::ServeRig(RigSpec s)
                     p, [this] { return serverDone; }, sim::seconds(10));
             },
             512 * 1024);
-        node.proc->bindShardDomain(node.host->name());
-        node.os = std::make_unique<OsService>(*node.unet,
+        node.proc->bindShardDomain(topology.host(i + 1).name());
+        node.os = std::make_unique<OsService>(topology.unet(i + 1),
                                               spec.osLimits);
         node.endpoint = node.os->createEndpoint(*node.proc, {});
         if (!node.endpoint)
@@ -194,22 +153,11 @@ ServeRig::ServeRig(RigSpec s)
     for (int i = 0; i < spec.clients; ++i) {
         ClientNode &node = *clients[i];
         ChannelId at_server = invalidChannel;
-        if (spec.nic == NicKind::Atm) {
-            UNetAtm::connect(
-                static_cast<UNetAtm &>(*node.unet), *node.endpoint,
-                atmPorts[static_cast<std::size_t>(i)],
-                static_cast<UNetAtm &>(*serverUnet), *serverEp,
-                atmPorts.back(), *signalling, node.toServer,
-                at_server);
-        } else {
-            UNetFe::connect(static_cast<UNetFe &>(*node.unet),
-                            *node.endpoint,
-                            static_cast<UNetFe &>(*serverUnet),
-                            *serverEp, node.toServer, at_server);
-        }
+        topology.connect(i + 1, *node.endpoint, 0, *serverEp, node.toServer,
+                         at_server);
         _server->openChannel(at_server);
         node.rpc = std::make_unique<RpcClient>(
-            *node.unet, *node.endpoint, node.toServer,
+            topology.unet(i + 1), *node.endpoint, node.toServer,
             static_cast<std::uint32_t>(i), *_stats, spec.clientAm);
     }
 }

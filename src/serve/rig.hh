@@ -23,15 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
 #include "fault/fault.hh"
 #include "serve/loadgen.hh"
 #include "serve/rpc.hh"
+#include "topo/topology.hh"
 #include "unet/os_service.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
 
 namespace unet::serve {
 
@@ -58,7 +54,7 @@ struct RigSpec
 
     /** Fault scenario string (fault::Plan grammar), "" = clean.
      *  Sites: "eth.switch"/"atm.switch", "nic.fe.rx.c<i>"/".s",
-     *  "atm.link.c<i>"/".s". */
+     *  "nic.atm.rx.c<i>"/".s", "atm.link.c<i>.<d>"/".s.<d>". */
     std::string faults;
 
     /** Dispatch table; default one echo-like method (4us fixed + 2us
@@ -161,34 +157,17 @@ class ServeRig
   private:
     struct ClientNode
     {
-        std::unique_ptr<host::Host> host;
-        std::unique_ptr<atm::AtmLink> link;  ///< ATM only
-        std::unique_ptr<nic::Dc21140> nicFe; ///< FE only
-        std::unique_ptr<nic::Pca200> nicAtm; ///< ATM only
-        std::unique_ptr<UNet> unet;
         std::unique_ptr<OsService> os;
         std::unique_ptr<sim::Process> proc;
         Endpoint *endpoint = nullptr;
         std::unique_ptr<RpcClient> rpc;
         ChannelId toServer = invalidChannel;
-        sim::Tick finishedAt = 0;
     };
 
     RigSpec spec;
     sim::Simulation sim;
+    topo::Topology topology;
 
-    // Fabric (one of these is populated).
-    std::unique_ptr<eth::Switch> ethSwitch;
-    std::unique_ptr<atm::Switch> atmSwitch;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::vector<std::size_t> atmPorts; ///< [i] = client i; back = server
-
-    // Server node.
-    std::unique_ptr<host::Host> serverHost;
-    std::unique_ptr<atm::AtmLink> serverLink;
-    std::unique_ptr<nic::Dc21140> serverNicFe;
-    std::unique_ptr<nic::Pca200> serverNicAtm;
-    std::unique_ptr<UNet> serverUnet;
     std::unique_ptr<OsService> serverOs;
     std::unique_ptr<sim::Process> serverProc;
     Endpoint *serverEp = nullptr;

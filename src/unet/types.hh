@@ -13,8 +13,10 @@
 #ifndef UNET_UNET_TYPES_HH
 #define UNET_UNET_TYPES_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "obs/trace_ctx.hh"
 
@@ -72,7 +74,7 @@ struct SendDescriptor
     std::array<BufferRef, maxFragments> fragments{};
 
     /** Message-trace custody state (id 0 while untraced). */
-    obs::TraceContext trace;
+    obs::TraceContext trace{};
 
     /** Total message length in bytes. */
     std::uint32_t
@@ -86,6 +88,26 @@ struct SendDescriptor
         return n;
     }
 };
+
+/** An inline (small) send descriptor carrying @p data. */
+inline SendDescriptor
+inlineSend(ChannelId chan, std::span<const std::uint8_t> data)
+{
+    SendDescriptor sd{.channel = chan, .isInline = true};
+    sd.inlineLength = static_cast<std::uint32_t>(data.size());
+    std::copy(data.begin(), data.end(), sd.inlineData.begin());
+    return sd;
+}
+
+/** A one-fragment buffer-area send descriptor (zero-copy; the only TX
+ *  path U-Net/FE has). */
+inline SendDescriptor
+fragmentSend(ChannelId chan, BufferRef frag)
+{
+    SendDescriptor sd{.channel = chan, .fragmentCount = 1};
+    sd.fragments[0] = frag;
+    return sd;
+}
 
 /**
  * Receive-queue entry: the source channel plus either the message

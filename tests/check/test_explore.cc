@@ -235,6 +235,40 @@ TEST(ExploreConfigs, ExplorationIsDeterministic)
     EXPECT_EQ(first.choicePoints, second.choicePoints);
 }
 
+/** Every closed config's exhaustive statistics, pinned. They are a
+ *  function of the rig's event order — node, NIC and port construction
+ *  included — so a rig change that reorders same-tick events shows here
+ *  instead of passing every within-build comparison. */
+TEST(ExploreConfigs, ExhaustiveStatsArePinned)
+{
+    struct Row
+    {
+        const char *config;
+        std::uint64_t runs;
+        std::uint64_t pruned;
+        std::uint64_t choicePoints;
+        std::size_t widest;
+    };
+    const Row rows[] = {
+        {"fig5", 1, 0, 0, 0},
+        {"demux", 40, 38, 406, 3},
+        {"retransmit", 40, 38, 853, 2},
+        {"sendv-race", 7, 5, 21, 3},
+        {"atm-cmdqueue", 3, 1, 6, 2},
+        {"upcall", 13, 11, 101, 2},
+        {"ep-evict", 98, 94, 1268, 4},
+    };
+    for (const Row &row : rows) {
+        explore::Result res = explore::explore(config(row.config));
+        EXPECT_TRUE(res.complete) << row.config;
+        EXPECT_TRUE(res.violations.empty()) << row.config;
+        EXPECT_EQ(res.runs, row.runs) << row.config;
+        EXPECT_EQ(res.prunedRuns, row.pruned) << row.config;
+        EXPECT_EQ(res.choicePoints, row.choicePoints) << row.config;
+        EXPECT_EQ(res.maxEligible, row.widest) << row.config;
+    }
+}
+
 // --- bounds ----------------------------------------------------------
 
 TEST(ExploreBounds, RunBoundStopsEarly)

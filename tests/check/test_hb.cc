@@ -134,6 +134,30 @@ TEST(HbClean, ServeRigIsRaceFree)
     EXPECT_NE(r.report.find(".rpc.dispatch"), std::string::npos);
 }
 
+/** The audited object count and the clock chains each clean topology
+ *  needs, pinned. Both follow from which components the rig builds and
+ *  in which order, so a topology-construction change that slips an
+ *  object or an ordering edge shows here, not only across salts. */
+TEST(HbClean, AuditShapeIsPinned)
+{
+    struct Row
+    {
+        const char *topo;
+        std::size_t objects;
+        std::size_t chains;
+    };
+    const Row rows[] = {
+        {"fig5", 9, 4},
+        {"fault", 9, 13},
+        {"serve", 14, 30},
+    };
+    for (const Row &row : rows) {
+        hb::TopoResult r = hb::runTopo(row.topo);
+        EXPECT_EQ(r.objects.size(), row.objects) << row.topo;
+        EXPECT_EQ(r.chains, row.chains) << row.topo;
+    }
+}
+
 TEST(HbReport, CanonicalReportStableAcrossSalts)
 {
     // The canonical report reflects happens-before structure; the

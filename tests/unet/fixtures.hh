@@ -1,103 +1,56 @@
 /**
  * @file
- * Two-node test rigs for the U-Net implementations.
+ * Test rigs for the U-Net implementations: the topology builder's
+ * node aggregates, an ATM star on it, and a payload pattern.
  */
 
 #ifndef UNET_TESTS_UNET_FIXTURES_HH
 #define UNET_TESTS_UNET_FIXTURES_HH
 
-#include <memory>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/link.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topology.hh"
 
 namespace unet::test {
 
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNode
-{
-    FeNode(sim::Simulation &s, eth::Network &net, int index)
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(static_cast<std::uint32_t>(
-                  index + 1))),
-          unet(host, nic)
-    {}
+using topo::AtmNode;
+using topo::FeNode;
 
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** One ATM node: host + PCA-200 + U-Net/ATM driver. */
-struct AtmNode
-{
-    AtmNode(sim::Simulation &s, int index,
-            host::CpuSpec cpu = host::CpuSpec::pentium120(),
-            host::BusSpec bus = host::BusSpec::pci(),
-            atm::LinkSpec link_spec = atm::LinkSpec::oc3())
-        : host(s, "node" + std::to_string(index), std::move(cpu),
-               std::move(bus)),
-          link(s, link_spec), nic(host, link), unet(host, nic)
-    {}
-
-    host::Host host;
-    atm::AtmLink link;
-    nic::Pca200 nic;
-    UNetAtm unet;
-};
-
-/** An ATM star: N nodes around one ASX-200. */
+/** An ATM star: N nodes "node<i>" around one ASX-200. */
 struct AtmStar
 {
     AtmStar(sim::Simulation &s, int n,
             host::CpuSpec cpu = host::CpuSpec::pentium120(),
             host::BusSpec bus = host::BusSpec::pci(),
             atm::LinkSpec link_spec = atm::LinkSpec::oc3())
-        : sw(s), signalling(sw)
+        : topology(s, spec(n, cpu, bus, link_spec)),
+          sw(*topology.atmSwitch()), signalling(*topology.signalling())
     {
-        for (int i = 0; i < n; ++i) {
-            nodes.push_back(std::make_unique<AtmNode>(
-                s, i, cpu, bus, link_spec));
-            ports.push_back(sw.addPort(nodes.back()->link));
-        }
+        for (int i = 0; i < topology.size(); ++i)
+            ports.push_back(topology.atm(i).port);
     }
 
-    AtmNode &operator[](std::size_t i) { return *nodes[i]; }
+    AtmNode &operator[](int i) { return topology.atm(i); }
 
-    atm::Switch sw;
-    atm::Signalling signalling;
-    std::vector<std::unique_ptr<AtmNode>> nodes;
+    topo::Topology topology;
+    atm::Switch &sw;
+    atm::Signalling &signalling;
     std::vector<std::size_t> ports;
+
+  private:
+    static topo::Spec
+    spec(int n, const host::CpuSpec &cpu, const host::BusSpec &bus,
+         const atm::LinkSpec &link_spec)
+    {
+        topo::Spec sp = topo::Spec::numbered(atm::SwitchSpec::asx200(), n);
+        for (topo::NodeSpec &node : sp.nodes) {
+            node.cpu = cpu;
+            node.bus = bus;
+            node.atmLink = link_spec;
+        }
+        return sp;
+    }
 };
-
-/** Build an inline (small) send descriptor. */
-inline SendDescriptor
-inlineSend(ChannelId chan, std::span<const std::uint8_t> data)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = true;
-    sd.inlineLength = static_cast<std::uint32_t>(data.size());
-    std::copy(data.begin(), data.end(), sd.inlineData.begin());
-    return sd;
-}
-
-/** Build a single-fragment buffer-area send descriptor. */
-inline SendDescriptor
-fragmentSend(ChannelId chan, BufferRef frag)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = frag;
-    return sd;
-}
 
 /** A recognizable payload. */
 inline std::vector<std::uint8_t>
