@@ -48,8 +48,14 @@ rxKernelTimeUs(std::size_t size, bool charge_copy)
     sim::Process source(s, "source", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
         for (int m = 0; m < messages; ++m) {
+            // Zero-copy sends hold their region until the device has
+            // gathered it: rotate over 128 disjoint regions, one per
+            // descriptor that can be outstanding (64-entry send queue
+            // plus 64-slot DC21140 TX ring).
+            const auto tx_off = static_cast<std::uint32_t>(
+                16384 + (m % 128) * 1536);
             while (!rawSend(un, self, rig.ep(0), rig.chan(0), size,
-                            16384)) {
+                            tx_off)) {
                 self.delay(sim::microseconds(20));
                 un.flush(self, rig.ep(0));
             }

@@ -59,8 +59,14 @@ bidirectionalMbps(bool full_duplex)
                     consume(un, self, ep, rd);
                 }
                 if (sent < messages) {
+                    // Rotate over 128 disjoint TX regions, one per
+                    // descriptor that can be outstanding (send queue
+                    // plus device TX ring), so no zero-copy send is
+                    // re-posted while the device still holds it.
+                    const auto tx_off = static_cast<std::uint32_t>(
+                        40000 + (sent % 128) * msgBytes);
                     if (rawSend(un, self, ep, rig.chan(side), msgBytes,
-                                40000)) {
+                                tx_off)) {
                         ++sent;
                     } else {
                         self.delay(sim::microseconds(20));

@@ -64,8 +64,7 @@ ActiveMessages::ActiveMessages(UNet &unet, Endpoint &ep, AmSpec spec)
     for (std::size_t i = 0; i < _spec.rxBuffers; ++i) {
         BufferRef buf{static_cast<std::uint32_t>(i * chunk),
                       static_cast<std::uint32_t>(chunk)};
-        if (ep.freeQueue().push(buf))
-            ep.ownership().postFree(buf);
+        ep.postFree(buf);
     }
 
     txPool = BufferPool(static_cast<std::uint32_t>(rx_bytes),

@@ -1,6 +1,5 @@
 #include "nic/pca200.hh"
 
-#include "check/access.hh"
 #include "check/hb/auditor.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
@@ -137,12 +136,8 @@ Pca200::serviceTx(EpState &state, bool chained)
 {
     // Shard attribution: i960 firmware work belongs to this host.
     check::hb::ScopedTaskDomain shard(host.name());
-    // Firmware-side custody of the send ring: runs in the i960 event
-    // context (always legal), but the scope catches a user fiber that
-    // yielded mid-push while we pop.
-    check::ContextGuard::Scope scope(state.ep->sendGuard(),
-                                     "firmware tx poll");
-    auto desc = state.ep->sendQueue().pop();
+    // The firmware takes custody of the message at the pop.
+    auto desc = state.ep->claimSend();
     if (!desc) {
         state.txScheduled = false;
         state.trainRemaining = 0; // any unread train followers are gone
@@ -157,13 +152,9 @@ Pca200::serviceTx(EpState &state, bool chained)
         per_msg = _spec.txPerMessageTrain;
         --state.trainRemaining;
     }
-    // The firmware takes custody of the message at the pop.
     if (auto *tr = host.simulation().trace())
         tr->hop(desc->trace, obs::SpanKind::TxPost, _trackCpu,
                 host.simulation().now());
-    if (!desc->isInline)
-        for (std::uint8_t i = 0; i < desc->fragmentCount; ++i)
-            state.ep->ownership().claimSend(desc->fragments[i]);
     transmitMessage(state, *desc, per_msg);
 }
 
@@ -177,7 +168,7 @@ Pca200::transmitMessage(EpState &state, const SendDescriptor &desc,
                   "; dropped");
         if (!desc.isInline)
             for (std::uint8_t i = 0; i < desc.fragmentCount; ++i)
-                ep.ownership().releaseSend(desc.fragments[i]);
+                ep.releaseSend(desc.fragments[i]);
         serviceTx(state, /*chained=*/true);
         return;
     }
@@ -197,7 +188,7 @@ Pca200::transmitMessage(EpState &state, const SendDescriptor &desc,
             auto span = ep.buffers().span(desc.fragments[i]);
             state.txPayload.insert(state.txPayload.end(), span.begin(),
                                    span.end());
-            ep.ownership().releaseSend(desc.fragments[i]);
+            ep.releaseSend(desc.fragments[i]);
         }
     }
 
@@ -385,16 +376,12 @@ Pca200::handleCell(const atm::Cell &cell)
             capacity += b.length;
         if (vc.filled + atm::Cell::payloadBytes > capacity) {
             std::optional<BufferRef> buf;
-            if (vc.buffers.size() < maxFragments) {
-                check::ContextGuard::Scope scope(
-                    vc.ep->freeGuard(), "firmware rx buffer claim");
-                buf = vc.ep->freeQueue().pop();
-            }
+            if (vc.buffers.size() < maxFragments)
+                buf = vc.ep->claimFreeBuffer();
             if (!buf) {
                 ++_noBuffer;
                 vc.poisoned = true;
             } else {
-                vc.ep->ownership().claimRecv(*buf);
                 vc.buffers.push_back(*buf);
             }
         }
@@ -417,7 +404,7 @@ Pca200::handleCell(const atm::Cell &cell)
                     ++_crcDrops;
                 // Return any claimed buffers.
                 for (const auto &b : vc.buffers)
-                    recycleRxBuffer(vc.ep, b);
+                    vc.ep->recycle(b);
             } else {
                 completePdu(vc, std::move(*payload));
             }
@@ -430,18 +417,6 @@ Pca200::handleCell(const atm::Cell &cell)
         }
         next();
     });
-}
-
-void
-Pca200::recycleRxBuffer(Endpoint *ep, BufferRef buf)
-{
-    check::ContextGuard::Scope scope(ep->freeGuard(),
-                                     "firmware rx buffer recycle");
-    if (ep->freeQueue().push(buf))
-        ep->ownership().unclaimRecv(buf);
-    else
-        // Full free queue: the buffer is lost to the protection domain.
-        ep->ownership().releaseRecv(buf);
 }
 
 void
@@ -459,16 +434,14 @@ Pca200::completePdu(VcState &vc, std::vector<std::uint8_t> payload)
         std::uint32_t chunk = std::min<std::uint32_t>(
             buf.length,
             static_cast<std::uint32_t>(payload.size() - written));
-        vc.ep->ownership().rxWrite({buf.offset, chunk});
-        vc.ep->buffers().write(
-            {buf.offset, chunk},
-            std::span(payload.data() + written, chunk));
+        vc.ep->writeRecv({buf.offset, chunk},
+                         std::span(payload.data() + written, chunk));
         rd.buffers[rd.bufferCount++] = {buf.offset, chunk};
         written += chunk;
     }
     // Any wholly unused buffers go back to the free queue.
     for (std::size_t i = bi; i < vc.buffers.size(); ++i)
-        recycleRxBuffer(vc.ep, vc.buffers[i]);
+        vc.ep->recycle(vc.buffers[i]);
 
     if (auto *tr = host.simulation().trace())
         tr->hop(vc.trace, obs::SpanKind::RxFw, _trackFw,
@@ -481,7 +454,7 @@ Pca200::completePdu(VcState &vc, std::vector<std::uint8_t> payload)
         // at their original (untruncated) size so no tail bytes leak
         // out of the free-buffer pool.
         for (std::size_t i = 0; i < bi; ++i)
-            recycleRxBuffer(vc.ep, vc.buffers[i]);
+            vc.ep->recycle(vc.buffers[i]);
     }
 }
 

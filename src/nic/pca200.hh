@@ -219,9 +219,6 @@ class Pca200 : public atm::CellSink
     void handleCell(const atm::Cell &cell);
     void completePdu(VcState &vc, std::vector<std::uint8_t> payload);
 
-    /** Return a claimed receive buffer to @p ep's free queue whole. */
-    static void recycleRxBuffer(Endpoint *ep, BufferRef buf);
-
     host::Host &host;
     Pca200Spec _spec;
     I960 coproc;

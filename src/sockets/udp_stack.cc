@@ -45,12 +45,16 @@ Socket::recvFrom(sim::Process &proc, sim::Tick timeout)
         }
     }
 
-    check::ContextGuard::Scope scope(bufGuard, "udp recvfrom pop");
-    Datagram dg = std::move(queue.front());
-    queue.pop_front();
-    queuedBytes -= dg.data.size();
+    Datagram dg;
+    {
+        check::ContextGuard::Scope scope(bufGuard, "udp recvfrom pop");
+        dg = std::move(queue.front());
+        queue.pop_front();
+        queuedBytes -= dg.data.size();
+    }
 
-    // Copy from the socket buffer to user space.
+    // Copy from the socket buffer to user space; the datagram is off
+    // the queue, so a delivery during the copy is legal.
     cpu.busy(proc, cpu.spec().memcpyTime(dg.data.size()));
     return dg;
 }

@@ -78,9 +78,8 @@ Endpoint::channelValid(ChannelId id) const
 }
 
 bool
-Endpoint::poll(RecvDescriptor &out)
+Endpoint::consumeNext(RecvDescriptor &out)
 {
-    check::ContextGuard::Scope scope(_recvGuard, "poll");
     auto desc = _recvQueue.pop();
     if (!desc)
         return false;
@@ -92,6 +91,15 @@ Endpoint::poll(RecvDescriptor &out)
     if (!out.isSmall)
         for (std::uint8_t i = 0; i < out.bufferCount; ++i)
             _ownership.consume(out.buffers[i]);
+    return true;
+}
+
+bool
+Endpoint::poll(RecvDescriptor &out)
+{
+    check::ContextGuard::Scope scope(_recvGuard, "poll");
+    if (!consumeNext(out))
+        return false;
     auditTick();
     return true;
 }
@@ -101,18 +109,7 @@ Endpoint::pollv(RecvDescriptor *out, std::size_t max)
 {
     check::ContextGuard::Scope scope(_recvGuard, "pollv");
     std::size_t drained = 0;
-    while (drained < max) {
-        auto desc = _recvQueue.pop();
-        if (!desc)
-            break;
-        out[drained] = *desc;
-        RecvDescriptor &cur = out[drained];
-        if (auto *tr = sim.trace())
-            tr->hop(cur.trace, obs::SpanKind::RxQueue,
-                    _metrics.prefix(), sim.now());
-        if (!cur.isSmall)
-            for (std::uint8_t i = 0; i < cur.bufferCount; ++i)
-                _ownership.consume(cur.buffers[i]);
+    while (drained < max && consumeNext(out[drained])) {
         auditTick();
         ++drained;
     }
@@ -150,6 +147,77 @@ Endpoint::setUpcall(std::function<void(const RecvDescriptor &)> handler,
         scheduleUpcall();
 }
 
+std::size_t
+Endpoint::postSends(const SendDescriptor *descs, std::size_t n)
+{
+    std::size_t pushed = 0;
+    while (pushed < n && _sendQueue.push(descs[pushed])) {
+        const SendDescriptor &desc = descs[pushed];
+        if (!desc.isInline)
+            for (std::uint8_t i = 0; i < desc.fragmentCount; ++i)
+                _ownership.postSend(desc.fragments[i]);
+        ++pushed;
+    }
+    return pushed;
+}
+
+bool
+Endpoint::postFree(BufferRef buf)
+{
+    if (!_freeQueue.push(buf))
+        return false;
+    _ownership.postFree(buf);
+    return true;
+}
+
+std::optional<SendDescriptor>
+Endpoint::claimSend()
+{
+    // Agents run in the main/event context (always legal), but the
+    // scope catches an application fiber that yielded mid-push while
+    // the agent pops.
+    check::ContextGuard::Scope scope(_sendGuard, "agent tx claim");
+    auto desc = _sendQueue.pop();
+    if (desc && !desc->isInline)
+        for (std::uint8_t i = 0; i < desc->fragmentCount; ++i)
+            _ownership.claimSend(desc->fragments[i]);
+    return desc;
+}
+
+void
+Endpoint::releaseSend(BufferRef frag)
+{
+    _ownership.releaseSend(frag);
+}
+
+std::optional<BufferRef>
+Endpoint::claimFreeBuffer()
+{
+    check::ContextGuard::Scope scope(_freeGuard, "agent rx buffer claim");
+    auto buf = _freeQueue.pop();
+    if (buf)
+        _ownership.claimRecv(*buf);
+    return buf;
+}
+
+void
+Endpoint::writeRecv(BufferRef ref, std::span<const std::uint8_t> data)
+{
+    _ownership.rxWrite(ref);
+    _buffers.write(ref, data);
+}
+
+void
+Endpoint::recycle(BufferRef buf)
+{
+    check::ContextGuard::Scope scope(_freeGuard,
+                                     "agent rx buffer recycle");
+    if (_freeQueue.push(buf))
+        _ownership.unclaimRecv(buf);
+    else
+        _ownership.releaseRecv(buf);
+}
+
 bool
 Endpoint::deliver(const RecvDescriptor &desc)
 {
@@ -178,16 +246,8 @@ Endpoint::scheduleUpcall()
         upcallPending = false;
         // Consume all pending messages in a single activation.
         RecvDescriptor desc;
-        while (!_recvQueue.empty()) {
-            desc = *_recvQueue.pop();
-            if (auto *tr = sim.trace())
-                tr->hop(desc.trace, obs::SpanKind::RxQueue,
-                        _metrics.prefix(), sim.now());
-            if (!desc.isSmall)
-                for (std::uint8_t i = 0; i < desc.bufferCount; ++i)
-                    _ownership.consume(desc.buffers[i]);
+        while (consumeNext(desc))
             upcall(desc);
-        }
     });
 }
 

@@ -18,6 +18,8 @@
 #define UNET_UNET_ENDPOINT_HH
 
 #include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "check/access.hh"
@@ -66,8 +68,56 @@ class Endpoint
     /** @} */
 
     /** Buffer-ownership state machine guarding the buffer area (a
-     *  no-op object unless built with UNET_CHECK). */
-    check::OwnershipTracker &ownership() { return _ownership; }
+     *  no-op object unless built with UNET_CHECK). Read-only: every
+     *  transition is reported by one of the custody handoffs below. */
+    const check::OwnershipTracker &ownership() const { return _ownership; }
+
+    /** @name Custody handoffs.
+     *
+     * Each queue handoff between the application and the agent that
+     * services the endpoint (kernel trap handler or NIC firmware) is
+     * one member here: the ring operation, the matching ownership
+     * transition and, on the agent side, the ring guard's scope.
+     * Application-side costs, owner checks and doorbells stay with
+     * the U-Net implementation that charges them.
+     * @{ */
+
+    /** Application: push descriptors onto the send queue in order,
+     *  stopping at the first that does not fit; their fragments become
+     *  posted-to-send. @return the number pushed. */
+    std::size_t postSends(const SendDescriptor *descs, std::size_t n);
+
+    /** Application (through UNet::postFree) or boot-time code: push
+     *  @p buf onto the free queue. @return false if the queue is full. */
+    bool postFree(BufferRef buf);
+
+    /** Agent: pop the next send descriptor and take custody of its
+     *  fragments for the payload gather. */
+    std::optional<SendDescriptor> claimSend();
+
+    /** Agent: the payload of @p frag has been read out; the
+     *  application may reuse it. */
+    void releaseSend(BufferRef frag);
+
+    /** Agent: pop a free buffer to receive into. */
+    std::optional<BufferRef> claimFreeBuffer();
+
+    /** Agent: write received bytes into a claimed buffer. */
+    void writeRecv(BufferRef ref, std::span<const std::uint8_t> data);
+
+    /** Agent drop path: return a claimed buffer to the free queue at
+     *  its original size; if the queue is full, the buffer leaves the
+     *  protection domain. */
+    void recycle(BufferRef buf);
+
+    /**
+     * Agent: push a receive descriptor (its buffers become delivered)
+     * and fire notifications.
+     * @return false if the receive queue was full (message dropped).
+     */
+    bool deliver(const RecvDescriptor &desc);
+
+    /** @} */
 
     /** @name Cross-fiber custody guards (no-ops unless UNET_CHECK).
      *
@@ -133,12 +183,6 @@ class Endpoint
     /** Condition notified whenever the receive queue gains an entry. */
     sim::WaitChannel &rxAvailable() { return _rxAvailable; }
 
-    /**
-     * Servicer-side: push a receive descriptor and fire notifications.
-     * @return false if the receive queue was full (message dropped).
-     */
-    bool deliver(const RecvDescriptor &desc);
-
     /** @} */
 
     /** Messages dropped because the receive queue was full. */
@@ -146,6 +190,11 @@ class Endpoint
 
   private:
     void scheduleUpcall();
+
+    /** Pop the next receive descriptor into @p out for the
+     *  application: close its custody span and hand its buffers back
+     *  (poll, pollv and the upcall loop). @return false when empty. */
+    bool consumeNext(RecvDescriptor &out);
 
     /** Count one queue operation; audit the rings every
      *  config.checkIntervalOps operations (UNET_CHECK builds). */

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "check/access.hh"
 #include "host/host.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "unet/endpoint.hh"
 #include "unet/types.hh"
@@ -28,7 +30,16 @@ namespace unet {
 class UNet
 {
   public:
-    explicit UNet(host::Host &host) : _host(host)
+    /**
+     * @param max_message_bytes Largest single message the substrate
+     *        accepts (maxMessageBytes()).
+     * @param free_post_cost    Processor time an application spends
+     *        posting one free buffer.
+     */
+    UNet(host::Host &host, std::size_t max_message_bytes,
+         sim::Tick free_post_cost)
+        : _host(host), _maxMessageBytes(max_message_bytes),
+          _freePostCost(free_post_cost)
     {
         _table.guard().setLabel(host.name() + ".eptable");
     }
@@ -44,8 +55,9 @@ class UNet
      *  small-message optimization threshold of this substrate). */
     virtual std::size_t inlineMax() const = 0;
 
-    /** Largest single U-Net message on this substrate. */
-    virtual std::size_t maxMessageBytes() const = 0;
+    /** Largest single U-Net message on this substrate; send and
+     *  sendv panic on a longer descriptor. */
+    std::size_t maxMessageBytes() const { return _maxMessageBytes; }
 
     /**
      * Create an endpoint owned by @p owner. Called via the OS service
@@ -73,7 +85,7 @@ class UNet
      * the implementation's doorbell (fast trap / PIO store), charging
      * the calling process its share of processor time. An untraced
      * descriptor is stamped with a fresh trace id while a TraceSession
-     * is enabled.
+     * is enabled. This is submit() of one descriptor.
      *
      * @return false if the descriptor was rejected (full queue, invalid
      *         channel, or protection fault).
@@ -87,8 +99,9 @@ class UNet
      * kick) is amortized over the batch.
      *
      * Semantics:
-     *  - sendv with n == 1 takes the exact scalar send() path — it is
-     *    trace- and digest-identical by construction;
+     *  - send() and sendv() reach the same submit() path; sendv with
+     *    n == 1 is send() — trace- and digest-identical by
+     *    construction;
      *  - descriptors are accepted in order and submission stops at the
      *    first rejection (full send queue, invalid channel);
      *  - posting more descriptors than the send queue can ever hold is
@@ -113,11 +126,12 @@ class UNet
     }
 
     /**
-     * Hand a receive buffer to the free queue.
-     * @return false if the free queue is full.
+     * Hand a receive buffer to the free queue, charging the calling
+     * process the substrate's per-post cost.
+     * @return false if the free queue is full or the caller does not
+     *         own the endpoint.
      */
-    virtual bool postFree(sim::Process &proc, Endpoint &ep,
-                          BufferRef buf) = 0;
+    bool postFree(sim::Process &proc, Endpoint &ep, BufferRef buf);
 
     /**
      * Re-kick the servicing agent for descriptors still sitting in the
@@ -145,15 +159,14 @@ class UNet
     const vep::EndpointTable &table() const { return _table; }
 
   protected:
-    /** Post one descriptor that already carries its trace context. */
-    virtual bool sendImpl(sim::Process &proc, Endpoint &ep,
-                          const SendDescriptor &desc) = 0;
-
-    /** Post a batch of 2..capacity descriptors that already carry
-     *  their trace contexts, ringing the doorbell once. */
-    virtual std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
-                                  const SendDescriptor *descs,
-                                  std::size_t n) = 0;
+    /**
+     * Post 1..capacity descriptors that carry their trace contexts and
+     * passed the caller, owner and length checks, ringing the doorbell
+     * once. @return the number accepted.
+     */
+    virtual std::size_t submit(sim::Process &proc, Endpoint &ep,
+                               const SendDescriptor *descs,
+                               std::size_t n) = 0;
 
     /** Implementation hook run before the table retires the id. */
     virtual void onDestroyEndpoint(Endpoint &ep) { (void)ep; }
@@ -172,7 +185,30 @@ class UNet
     host::Host &_host;
     vep::EndpointTable _table;
     sim::Counter _protFaults;
+
+  private:
+    /** The checks every send shares, then submit(). */
+    std::size_t post(sim::Process &proc, Endpoint &ep,
+                     const SendDescriptor *descs, std::size_t n);
+
+    std::size_t _maxMessageBytes;
+    sim::Tick _freePostCost;
 };
+
+inline std::size_t
+UNet::post(sim::Process &proc, Endpoint &ep, const SendDescriptor *descs,
+           std::size_t n)
+{
+    check::assertCaller(proc, "UNet::send");
+    if (!checkOwner(proc, ep))
+        return 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (descs[i].totalLength() > _maxMessageBytes)
+            UNET_PANIC(name(), " message of ", descs[i].totalLength(),
+                       " bytes exceeds the ", _maxMessageBytes,
+                       "-byte maximum");
+    return submit(proc, ep, descs, n);
+}
 
 inline bool
 UNet::send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc)
@@ -182,9 +218,9 @@ UNet::send(sim::Process &proc, Endpoint &ep, const SendDescriptor &desc)
     if (auto *tr = _host.simulation().trace(); tr && !desc.trace) {
         SendDescriptor traced = desc;
         tr->begin(traced.trace, _host.simulation().now());
-        return sendImpl(proc, ep, traced);
+        return post(proc, ep, &traced, 1) == 1;
     }
-    return sendImpl(proc, ep, desc);
+    return post(proc, ep, &desc, 1) == 1;
 }
 
 inline std::size_t
@@ -197,18 +233,27 @@ UNet::sendv(sim::Process &proc, Endpoint &ep, const SendDescriptor *descs,
                    "-entry send queue window");
     if (n == 0)
         return 0;
-    // Batch of one IS a scalar send: same code path, so it is trace-
-    // and digest-identical by construction.
-    if (n == 1)
-        return send(proc, ep, descs[0]) ? 1 : 0;
     if (auto *tr = _host.simulation().trace()) {
         std::vector<SendDescriptor> traced(descs, descs + n);
         for (auto &desc : traced)
             if (!desc.trace)
                 tr->begin(desc.trace, _host.simulation().now());
-        return sendvImpl(proc, ep, traced.data(), n);
+        return post(proc, ep, traced.data(), n);
     }
-    return sendvImpl(proc, ep, descs, n);
+    return post(proc, ep, descs, n);
+}
+
+inline bool
+UNet::postFree(sim::Process &proc, Endpoint &ep, BufferRef buf)
+{
+    check::assertCaller(proc, "UNet::postFree");
+    if (!checkOwner(proc, ep))
+        return false;
+    if (!ep.buffers().contains(buf))
+        UNET_PANIC("free buffer outside the endpoint buffer area");
+    _host.cpu().busy(proc, _freePostCost);
+    ep.freeGuard().mutate("postFree");
+    return ep.postFree(buf);
 }
 
 } // namespace unet

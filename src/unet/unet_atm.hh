@@ -55,13 +55,9 @@ class UNetAtm : public UNet
 
     std::string name() const override { return "U-Net/ATM"; }
     std::size_t inlineMax() const override { return singleCellMax; }
-    std::size_t maxMessageBytes() const override { return maxMessage; }
 
     Endpoint &createEndpoint(const sim::Process *owner,
                              const EndpointConfig &config) override;
-
-    bool postFree(sim::Process &proc, Endpoint &ep,
-                  BufferRef buf) override;
 
     /** The firmware gathers payload bytes synchronously when it pops a
      *  descriptor, so the backlog is exactly the send queue. */
@@ -128,20 +124,17 @@ class UNetAtm : public UNet
     /** Detach the endpoint from the firmware before the id retires. */
     void onDestroyEndpoint(Endpoint &ep) override;
 
-    bool sendImpl(sim::Process &proc, Endpoint &ep,
-                  const SendDescriptor &desc) override;
-
     /**
-     * Batched submission: the descriptors are stored into the
-     * NIC-resident send queue as one PIO burst (first store at full
-     * sendPost cost, followers at sendPostBatch) and the firmware is
-     * handed ONE contiguous descriptor train — a single i960 poll
-     * drains the whole batch, with followers read at the cheap
-     * Pca200Spec::txPerMessageTrain rate.
+     * The descriptors are stored into the NIC-resident send queue as
+     * one PIO burst (first store at full sendPost cost, followers at
+     * sendPostBatch) and the firmware is handed ONE contiguous
+     * descriptor train — a single i960 poll drains the whole batch,
+     * with followers read at the cheap Pca200Spec::txPerMessageTrain
+     * rate. A train of one is a plain doorbell.
      */
-    std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
-                          const SendDescriptor *descs,
-                          std::size_t n) override;
+    std::size_t submit(sim::Process &proc, Endpoint &ep,
+                       const SendDescriptor *descs,
+                       std::size_t n) override;
 
     UNetAtmSpec _spec;
     nic::Pca200 &_nic;

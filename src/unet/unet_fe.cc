@@ -20,7 +20,9 @@ tagKey(const eth::MacAddress &mac, PortId port)
 } // namespace
 
 UNetFe::UNetFe(host::Host &host, nic::Dc21140 &nic, UNetFeSpec spec)
-    : UNet(host), _spec(spec), _nic(nic),
+    : UNet(host, maxMessage - spec.extraHeaderBytes(),
+           spec.userFreePost),
+      _spec(spec), _nic(nic),
       _residency(host.simulation(), spec.vep,
                  "host." + host.name() + ".unet.vep"),
       _trackCpu(host.name() + ".cpu"),
@@ -161,97 +163,41 @@ UNetFe::connect(UNetFe &a, Endpoint &ep_a, UNetFe &b, Endpoint &ep_b,
 }
 
 std::size_t
-UNetFe::sendvImpl(sim::Process &proc, Endpoint &ep,
-                  const SendDescriptor *descs, std::size_t n)
+UNetFe::submit(sim::Process &proc, Endpoint &ep,
+               const SendDescriptor *descs, std::size_t n)
 {
-    check::assertCaller(proc, "UNetFe::sendv");
-    if (!checkOwner(proc, ep))
-        return 0;
-    ep.sendGuard().mutate("sendv");
-    for (std::size_t i = 0; i < n; ++i) {
-        if (descs[i].totalLength() >
-            maxMessage - _spec.extraHeaderBytes())
-            UNET_PANIC("U-Net/FE message of ", descs[i].totalLength(),
-                       " bytes exceeds the ",
-                       maxMessage - _spec.extraHeaderBytes(),
-                       "-byte maximum");
+    ep.sendGuard().mutate("send");
+    for (std::size_t i = 0; i < n; ++i)
         if (!descs[i].isInline && descs[i].fragmentCount > 1)
             UNET_PANIC("U-Net/FE model supports one buffer fragment "
                        "per send (plus the kernel header)");
-    }
 
     auto &cpu = _host.cpu();
     // The user still pushes each descriptor individually; only the
     // kernel-crossing costs are batched.
     cpu.busy(proc,
              static_cast<sim::Tick>(n) * _spec.userDescriptorPush);
+    // Release fragments whose ring slots have since completed, so a
+    // legitimate re-post of the same buffer is not flagged below.
     reapTx();
-    std::size_t accepted = 0;
-    while (accepted < n && ep.sendQueue().push(descs[accepted])) {
-        const SendDescriptor &desc = descs[accepted];
-        if (!desc.isInline)
-            for (std::uint8_t i = 0; i < desc.fragmentCount; ++i)
-                ep.ownership().postSend(desc.fragments[i]);
-        ++accepted;
-    }
+    std::size_t accepted = ep.postSends(descs, n);
     if (accepted == 0)
         return 0;
 
-    // ONE fast trap for the whole batch; the service routine coalesces
-    // the per-message poll demands into a single device kick.
+    // Fast trap into the kernel; the service routine runs in the
+    // caller's context (this is host processor overhead, the U-Net/FE
+    // trade-off). A batch takes ONE trap, and the service routine
+    // coalesces its per-message poll demands into a single device kick.
     sim::Tick trap_acc = 0;
     step(descs[0].trace, _host.simulation().now(), "trap entry",
          cpu.spec().trapEntryCost, trap_acc);
     _host.trapEnter(proc);
-    serviceSendQueue(proc, ep, /*coalesce=*/true);
+    serviceSendQueue(proc, ep, /*coalesce=*/n > 1);
     trap_acc = 0;
     step(descs[0].trace, _host.simulation().now(), "return from trap",
          cpu.spec().trapExitCost, trap_acc);
     _host.trapExit(proc);
     return accepted;
-}
-
-bool
-UNetFe::sendImpl(sim::Process &proc, Endpoint &ep,
-                 const SendDescriptor &desc)
-{
-    check::assertCaller(proc, "UNetFe::send");
-    if (!checkOwner(proc, ep))
-        return false;
-    ep.sendGuard().mutate("send");
-    if (desc.totalLength() > maxMessage - _spec.extraHeaderBytes())
-        UNET_PANIC("U-Net/FE message of ", desc.totalLength(),
-                   " bytes exceeds the ",
-                   maxMessage - _spec.extraHeaderBytes(),
-                   "-byte maximum");
-    if (!desc.isInline && desc.fragmentCount > 1)
-        UNET_PANIC("U-Net/FE model supports one buffer fragment per "
-                   "send (plus the kernel header)");
-
-    auto &cpu = _host.cpu();
-    cpu.busy(proc, _spec.userDescriptorPush);
-    // Release fragments whose ring slots have since completed, so a
-    // legitimate re-post of the same buffer is not flagged below.
-    reapTx();
-    if (!ep.sendQueue().push(desc))
-        return false;
-    if (!desc.isInline)
-        for (std::uint8_t i = 0; i < desc.fragmentCount; ++i)
-            ep.ownership().postSend(desc.fragments[i]);
-
-    // Fast trap into the kernel; the service routine runs in the
-    // caller's context (this is host processor overhead, the U-Net/FE
-    // trade-off).
-    sim::Tick trap_acc = 0;
-    step(desc.trace, _host.simulation().now(), "trap entry",
-         cpu.spec().trapEntryCost, trap_acc);
-    _host.trapEnter(proc);
-    serviceSendQueue(proc, ep);
-    trap_acc = 0;
-    step(desc.trace, _host.simulation().now(), "return from trap",
-         cpu.spec().trapExitCost, trap_acc);
-    _host.trapExit(proc);
-    return true;
 }
 
 void
@@ -287,9 +233,7 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
         if (ring_desc.own)
             break;
 
-        SendDescriptor desc = *ep.sendQueue().pop();
-        if (!desc.isInline && desc.fragmentCount == 1)
-            ep.ownership().claimSend(desc.fragments[0]);
+        SendDescriptor desc = *ep.claimSend();
         const sim::Tick base =
             coalesce ? batch_base : _host.simulation().now();
         sim::Tick local = 0;
@@ -313,7 +257,7 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
             UNET_WARN("U-Net/FE: send on invalid channel ",
                       desc.channel, "; dropped");
             if (!desc.isInline && desc.fragmentCount == 1)
-                ep.ownership().releaseSend(desc.fragments[0]);
+                ep.releaseSend(desc.fragments[0]);
             if (!coalesce)
                 cpu.busy(proc, cost);
             continue;
@@ -447,7 +391,7 @@ UNetFe::reapTxSlot(std::size_t slot)
     auto &record = txSlotFrag[slot];
     if (!record || _nic.txDesc(slot).own)
         return;
-    record->first->ownership().releaseSend(record->second);
+    record->first->releaseSend(record->second);
     _residency.unpin(record->first->id());
     record.reset();
 }
@@ -483,22 +427,6 @@ UNetFe::flush(sim::Process &proc, Endpoint &ep)
     _host.trapEnter(proc);
     serviceSendQueue(proc, ep);
     _host.trapExit(proc);
-}
-
-bool
-UNetFe::postFree(sim::Process &proc, Endpoint &ep, BufferRef buf)
-{
-    check::assertCaller(proc, "UNetFe::postFree");
-    if (!checkOwner(proc, ep))
-        return false;
-    if (!ep.buffers().contains(buf))
-        UNET_PANIC("free buffer outside the endpoint buffer area");
-    _host.cpu().busy(proc, _spec.userFreePost);
-    ep.freeGuard().mutate("postFree");
-    if (!ep.freeQueue().push(buf))
-        return false;
-    ep.ownership().postFree(buf);
-    return true;
 }
 
 void
@@ -614,17 +542,6 @@ UNetFe::rxInterrupt()
         } else {
             step(ctx, base, "allocate U-Net recv buffer",
                  _spec.rxAllocBuffer, cost);
-            // Return a claimed buffer to the free queue at its original
-            // size; a buffer lost to a momentarily full queue leaves
-            // the protection domain for good.
-            auto recycle = [ep](BufferRef buf) {
-                check::ContextGuard::Scope scope(
-                    ep->freeGuard(), "kernel rx buffer recycle");
-                if (ep->freeQueue().push(buf))
-                    ep->ownership().unclaimRecv(buf);
-                else
-                    ep->ownership().releaseRecv(buf);
-            };
             // Fill one or more free buffers. Keep the original
             // free-queue entries: the descriptor references may be
             // truncated to the message length, but drop paths must
@@ -641,17 +558,11 @@ UNetFe::rxInterrupt()
                     ok = false;
                     break;
                 }
-                std::optional<BufferRef> buf;
-                {
-                    check::ContextGuard::Scope scope(
-                        ep->freeGuard(), "kernel rx buffer claim");
-                    buf = ep->freeQueue().pop();
-                }
+                std::optional<BufferRef> buf = ep->claimFreeBuffer();
                 if (!buf) {
                     ok = false;
                     break;
                 }
-                ep->ownership().claimRecv(*buf);
                 claimed[rd.bufferCount] = *buf;
                 std::uint32_t chunk =
                     std::min(buf->length, msg_len - copied);
@@ -662,7 +573,7 @@ UNetFe::rxInterrupt()
                 ++_noFreeBuf;
                 // Return claimed buffers and drop the message.
                 for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    recycle(claimed[i]);
+                    ep->recycle(claimed[i]);
                 continue;
             }
             step(ctx, base, "init descriptor buffer pointers",
@@ -670,15 +581,13 @@ UNetFe::rxInterrupt()
             if (_spec.chargeRxCopy)
                 step(ctx, base, "copy message",
                      cpu.spec().memcpyTime(msg_len), cost);
-            effects.push_back([this, ep, rd, payload, claimed, recycle,
+            effects.push_back([this, ep, rd, payload, claimed,
                                ctx]() mutable {
                 std::uint32_t off = 0;
                 for (std::uint8_t i = 0; i < rd.bufferCount; ++i) {
-                    ep->ownership().rxWrite(rd.buffers[i]);
-                    ep->buffers().write(
-                        rd.buffers[i],
-                        std::span(payload.data() + off,
-                                  rd.buffers[i].length));
+                    ep->writeRecv(rd.buffers[i],
+                                  std::span(payload.data() + off,
+                                            rd.buffers[i].length));
                     off += rd.buffers[i].length;
                 }
                 if (auto *tr = _host.simulation().trace())
@@ -691,7 +600,7 @@ UNetFe::rxInterrupt()
                     // Receive queue full: the message is lost, but the
                     // buffers must not leak with it.
                     for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                        recycle(claimed[i]);
+                        ep->recycle(claimed[i]);
                 }
             });
         }

@@ -120,7 +120,8 @@ class UNetFe : public UNet
 
     /** Largest single message: the Ethernet payload minus our header
      *  (the paper quotes 1498 with its 2-byte minimum header; with the
-     *  full 6-byte header the ceiling is 1494). */
+     *  full 6-byte header the ceiling is 1494). IPv4 encapsulation
+     *  takes its header out of this (maxMessageBytes()). */
     static constexpr std::size_t maxMessage =
         eth::Frame::maxPayload - unetHeaderBytes;
 
@@ -128,13 +129,9 @@ class UNetFe : public UNet
 
     std::string name() const override { return "U-Net/FE"; }
     std::size_t inlineMax() const override { return smallMessageMax; }
-    std::size_t maxMessageBytes() const override { return maxMessage; }
 
     Endpoint &createEndpoint(const sim::Process *owner,
                              const EndpointConfig &config) override;
-
-    bool postFree(sim::Process &proc, Endpoint &ep,
-                  BufferRef buf) override;
 
     void flush(sim::Process &proc, Endpoint &ep) override;
 
@@ -178,27 +175,23 @@ class UNetFe : public UNet
     /** Tear down port/demux/residency state before the id retires. */
     void onDestroyEndpoint(Endpoint &ep) override;
 
-    bool sendImpl(sim::Process &proc, Endpoint &ep,
-                  const SendDescriptor &desc) override;
-
     /**
-     * Batched submission: one fast trap services the whole batch. The
-     * kernel drains the send queue under a single trap-entry/exit pair
-     * and issues ONE transmit poll demand after the last ring
-     * descriptor is published, so the Figure-3 fixed costs (trap entry,
-     * poll demand, trap exit) are paid once per batch instead of once
-     * per message.
+     * One fast trap services the whole submission. A batch (n > 1) is
+     * drained under a single trap-entry/exit pair with ONE transmit
+     * poll demand after the last ring descriptor is published, so the
+     * Figure-3 fixed costs (trap entry, poll demand, trap exit) are
+     * paid once per batch instead of once per message.
      */
-    std::size_t sendvImpl(sim::Process &proc, Endpoint &ep,
-                          const SendDescriptor *descs,
-                          std::size_t n) override;
+    std::size_t submit(sim::Process &proc, Endpoint &ep,
+                       const SendDescriptor *descs,
+                       std::size_t n) override;
 
     /**
      * Kernel service routine for the send queue (runs in the trap).
      * With @p coalesce the drain charges its accumulated cost in one
      * lump and issues a single poll demand after the last descriptor;
-     * without it (the scalar path) each message is charged and kicked
-     * individually, exactly as before batching existed.
+     * without it (a single send, a flush) each message is charged and
+     * kicked individually.
      */
     void serviceSendQueue(sim::Process &proc, Endpoint &ep,
                           bool coalesce = false);

@@ -294,6 +294,137 @@ TEST(Ownership, EndpointTracksPostedFreeBuffers)
     ep_b->auditRings();
 }
 
+namespace {
+
+/**
+ * One custody scenario between two endpoints, driven end to end on
+ * U-Net/FE or U-Net/ATM. The receiver posts @c freeBuffers 512-byte
+ * buffers and never polls; the sender posts @c messages 1200-byte
+ * sends (three buffers each), optionally on an invalid channel. The
+ * expectations are the receiver's tracker books once the simulation
+ * drains, and the drop counters.
+ */
+struct CustodyCase
+{
+    const char *name;
+    bool atm;
+    std::size_t freeBuffers;
+    std::size_t messages;
+    std::size_t recvQueueDepth;
+    bool invalidChannel;
+
+    std::size_t rxPosted;
+    std::size_t delivered;
+    std::size_t tracked;
+    std::uint64_t noBufferDrops;
+    std::uint64_t rxQueueDrops;
+};
+
+topo::Spec
+custodySpec(bool atm)
+{
+    if (atm)
+        return topo::Spec::numbered(atm::SwitchSpec::asx200(), 2);
+    return topo::Spec::numbered(topo::EthLinkSpec{}, 2);
+}
+
+class EndpointCustody : public ::testing::TestWithParam<CustodyCase>
+{};
+
+TEST_P(EndpointCustody, BooksBalanceEndToEnd)
+{
+    const CustodyCase &c = GetParam();
+    constexpr std::uint32_t bufBytes = 512;
+    constexpr std::uint32_t msgBytes = 1200;
+
+    sim::Simulation s;
+    topo::Topology topology(s, custodySpec(c.atm));
+    UNet &tx_unet = topology.unet(0);
+    UNet &rx_unet = topology.unet(1);
+
+    Endpoint *ep_a = nullptr, *ep_b = nullptr;
+    ChannelId chan_a = invalidChannel, chan_b = invalidChannel;
+    std::size_t accepted = 0;
+
+    sim::Process rx(s, "rx", [&](sim::Process &self) {
+        for (std::size_t i = 0; i < c.freeBuffers; ++i)
+            ASSERT_TRUE(rx_unet.postFree(
+                self, *ep_b,
+                {static_cast<std::uint32_t>(i * bufBytes), bufBytes}));
+    });
+    sim::Process tx(s, "tx", [&](sim::Process &self) {
+        auto data = pattern(msgBytes);
+        const ChannelId chan =
+            c.invalidChannel ? static_cast<ChannelId>(7) : chan_a;
+        for (std::size_t m = 0; m < c.messages; ++m) {
+            BufferRef frag{static_cast<std::uint32_t>(m * 2048),
+                           msgBytes};
+            ep_a->buffers().write(frag, data);
+            if (tx_unet.send(self, *ep_a, fragmentSend(chan, frag)))
+                ++accepted;
+        }
+    });
+
+    EndpointConfig rx_cfg;
+    rx_cfg.recvQueueDepth = c.recvQueueDepth;
+    ep_a = &tx_unet.createEndpoint(&tx, {});
+    ep_b = &rx_unet.createEndpoint(&rx, rx_cfg);
+    topology.connect(0, *ep_a, 1, *ep_b, chan_a, chan_b);
+
+    rx.start();
+    tx.start(1_us);
+    s.run();
+
+    EXPECT_EQ(accepted, c.messages);
+    // Every send fragment went back to the application, delivered or
+    // dropped by the agent.
+    EXPECT_EQ(ep_a->ownership().tracked(), 0u);
+
+    const check::OwnershipTracker &books = ep_b->ownership();
+    EXPECT_EQ(books.bytesIn(BufState::TxPosted), 0u);
+    EXPECT_EQ(books.bytesIn(BufState::TxAgent), 0u);
+    EXPECT_EQ(books.bytesIn(BufState::RxPosted), c.rxPosted);
+    EXPECT_EQ(books.bytesIn(BufState::RxAgent), 0u);
+    EXPECT_EQ(books.bytesIn(BufState::Delivered), c.delivered);
+    EXPECT_EQ(books.tracked(), c.tracked);
+
+    const std::uint64_t no_buffer =
+        c.atm ? topology.atm(1).nic.noBufferDrops()
+              : topology.fe(1).unet.rxNoFreeBuffer();
+    EXPECT_EQ(no_buffer, c.noBufferDrops);
+    EXPECT_EQ(ep_b->rxQueueDrops(), c.rxQueueDrops);
+
+    // Consuming every delivered message hands its whole buffers back
+    // to the application; only free-queue buffers stay tracked.
+    RecvDescriptor rd;
+    while (ep_b->poll(rd))
+        EXPECT_FALSE(rd.isSmall);
+    EXPECT_EQ(books.bytesIn(BufState::Delivered), 0u);
+    EXPECT_EQ(books.tracked(), c.rxPosted / bufBytes);
+    ep_a->auditRings();
+    ep_b->auditRings();
+}
+
+// name, atm, free buffers, messages, recv depth, invalid channel;
+// rx-posted, delivered, tracked, no-buffer drops, rx-queue drops.
+const CustodyCase custodyCases[] = {
+    {"FeDelivered", false, 4, 1, 64, false, 512, 1536, 4, 0, 0},
+    {"AtmDelivered", true, 4, 1, 64, false, 512, 1536, 4, 0, 0},
+    {"FeNoFreeBuffer", false, 1, 1, 64, false, 512, 0, 1, 1, 0},
+    {"AtmNoFreeBuffer", true, 1, 1, 64, false, 512, 0, 1, 1, 0},
+    {"FeRecvQueueFull", false, 6, 2, 1, false, 1536, 1536, 6, 0, 1},
+    {"AtmRecvQueueFull", true, 6, 2, 1, false, 1536, 1536, 6, 0, 1},
+    {"FeInvalidChannel", false, 2, 1, 64, true, 1024, 0, 2, 0, 0},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    FeAtm, EndpointCustody, ::testing::ValuesIn(custodyCases),
+    [](const ::testing::TestParamInfo<CustodyCase> &info) {
+        return std::string(info.param.name);
+    });
+
+} // namespace
+
 #else // !UNET_CHECK
 
 TEST(Ownership, NoOpTrackerCompilesAndTracksNothing)

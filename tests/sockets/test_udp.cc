@@ -203,3 +203,44 @@ TEST(UdpSockets, TxRingBacklogEnobufs)
               static_cast<double>(ok));
     EXPECT_EQ(stackA.packetsSent(), static_cast<std::uint64_t>(ok));
 }
+
+TEST(UdpSockets, StreamArrivingDuringCopyIsReceived)
+{
+    // The reader drains a backlog while the stream keeps arriving, so
+    // datagrams land in the socket buffer while recvFrom is charging
+    // its copy to user space. The pop and the copy are separate
+    // steps: the copy must not hold the socket buffer against the
+    // receive interrupt.
+    Rig rig;
+    constexpr int datagrams = 32;
+    int received = 0;
+    bool intact = true;
+
+    sim::Process rx(rig.s, "rx", [&](sim::Process &self) {
+        auto &sock = rig.stackB.createSocket(&self, 7000);
+        self.delay(1_ms);
+        while (received < datagrams) {
+            auto dg = sock.recvFrom(self, 10_ms);
+            if (!dg)
+                break;
+            intact = intact &&
+                dg->data == pattern(1400, static_cast<std::uint8_t>(
+                                              received));
+            ++received;
+        }
+    });
+    sim::Process tx(rig.s, "tx", [&](sim::Process &self) {
+        auto &sock = rig.stackA.createSocket(&self, 5000);
+        for (int i = 0; i < datagrams; ++i)
+            sock.sendTo(self, rig.stackB.address(), 7000,
+                        pattern(1400, static_cast<std::uint8_t>(i)));
+    });
+    rx.start();
+    tx.start(1_us);
+    rig.s.run();
+
+    EXPECT_EQ(received, datagrams);
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(rig.stackB.packetsDelivered(),
+              static_cast<std::uint64_t>(datagrams));
+}

@@ -123,6 +123,54 @@ TEST(UNetFe, LargeMessageUsesFreeBuffers)
     EXPECT_EQ(received_bytes, data);
 }
 
+TEST(UNetFe, Ipv4EncapsulationShrinksMaxMessage)
+{
+    // The IPv4 header comes out of the Ethernet payload, so the
+    // largest message the instance reports is the largest it accepts.
+    sim::Simulation s;
+    topo::Spec spec = topo::Spec::numbered(topo::EthLinkSpec{}, 2);
+    for (topo::NodeSpec &node : spec.nodes)
+        node.fe.ipv4Encapsulation = true;
+    topo::Topology topology(s, spec);
+    UNetFe &a = topology.fe(0).unet;
+    UNetFe &b = topology.fe(1).unet;
+    ASSERT_EQ(a.maxMessageBytes(), 1474u);
+
+    Endpoint *epA = nullptr, *epB = nullptr;
+    ChannelId chanA = invalidChannel, chanB = invalidChannel;
+    auto data = pattern(1474, 5);
+    RecvDescriptor got;
+    bool received = false;
+    std::vector<std::uint8_t> received_bytes;
+
+    sim::Process rx(s, "rx", [&](sim::Process &self) {
+        b.postFree(self, *epB, {0, 2048});
+        received = epB->wait(self, got, 10_ms);
+        if (received && !got.isSmall)
+            for (std::uint8_t i = 0; i < got.bufferCount; ++i) {
+                auto span = epB->buffers().span(got.buffers[i]);
+                received_bytes.insert(received_bytes.end(), span.begin(),
+                                      span.end());
+            }
+    });
+    sim::Process tx(s, "tx", [&](sim::Process &self) {
+        epA->buffers().write({0, 1474}, data);
+        EXPECT_TRUE(a.send(self, *epA, fragmentSend(chanA, {0, 1474})));
+    });
+
+    epA = &a.createEndpoint(&tx, {});
+    epB = &b.createEndpoint(&rx, {});
+    UNetFe::connect(a, *epA, b, *epB, chanA, chanB);
+
+    rx.start();
+    tx.start(5_us);
+    s.run();
+
+    ASSERT_TRUE(received);
+    EXPECT_EQ(got.length, 1474u);
+    EXPECT_EQ(received_bytes, data);
+}
+
 TEST(UNetFe, NoFreeBufferDropsLargeMessage)
 {
     sim::Simulation s;
