@@ -2,7 +2,6 @@
 
 #if defined(UNET_CHECK) && UNET_CHECK
 
-#include "check/hb/auditor.hh"
 #include "sim/logging.hh"
 #include "sim/process.hh"
 
@@ -10,46 +9,15 @@ namespace unet::check {
 
 namespace {
 
-/** The current execution context: the running process, or nullptr for
- *  the main/event context. */
-const sim::Process *
-context()
-{
-    return sim::Process::current();
-}
-
 const std::string &
 contextName()
 {
     static const std::string main_ctx = "<main/event context>";
-    const sim::Process *p = context();
+    const sim::Process *p = sim::Process::current();
     return p ? p->name() : main_ctx;
 }
 
 } // namespace
-
-ContextGuard::~ContextGuard()
-{
-    hb::noteGuardDestroyed(*this);
-}
-
-void
-ContextGuard::mutate(const char *op, std::source_location site) const
-{
-    hb::noteGuardAccess(*this, op, /*write=*/true, site);
-    const sim::Process *p = context();
-    if (p == nullptr)
-        return; // agents/harnesses in the main context hold custody
-    if (_owner == nullptr || p == _owner)
-        return;
-    panicForeign(op);
-}
-
-void
-ContextGuard::observe(const char *op, std::source_location site) const
-{
-    hb::noteGuardAccess(*this, op, /*write=*/false, site);
-}
 
 void
 ContextGuard::panicForeign(const char *op) const
@@ -70,33 +38,10 @@ ContextGuard::panicInterleaved(const char *op) const
                "mutation sequence yielded mid-update");
 }
 
-ContextGuard::Scope::Scope(ContextGuard &guard, const char *op,
-                           std::source_location site)
-    : guard(guard)
-{
-    guard.mutate(op, site);
-    const void *ctx = context();
-    if (guard.depth > 0 && guard.holder != ctx)
-        guard.panicInterleaved(op);
-    guard.holder = ctx;
-    guard.holderOp = op;
-    ++guard.depth;
-}
-
-ContextGuard::Scope::~Scope()
-{
-    if (--guard.depth == 0) {
-        guard.holder = nullptr;
-        guard.holderOp = nullptr;
-    }
-}
-
 void
-assertCaller(const sim::Process &claimed, const char *op)
+panicImpersonation(const sim::Process &claimed, const char *op)
 {
     const sim::Process *p = sim::Process::current();
-    if (p == nullptr || p == &claimed)
-        return;
     UNET_PANIC("caller impersonation: ", op, " claims process '",
                claimed.name(), "' but runs on fiber of '", p->name(),
                "'");

@@ -41,10 +41,8 @@
 #include <string>
 
 #include "check/enroll.hh"
-
-namespace unet::sim {
-class Process;
-}
+#include "check/hb/hooks.hh"
+#include "sim/current_process.hh"
 
 namespace unet::check {
 
@@ -69,7 +67,7 @@ class ContextGuard : public Enrolled<ContextGuard>
      *  string literal; the guard stores only the pointer). */
     explicit ContextGuard(const char *what) : what(what), _label(what) {}
 
-    ~ContextGuard();
+    ~ContextGuard() { hb::noteGuardDestroyed(*this); }
 
     ContextGuard(const ContextGuard &) = delete;
     ContextGuard &operator=(const ContextGuard &) = delete;
@@ -98,9 +96,17 @@ class ContextGuard : public Enrolled<ContextGuard>
      * source_location captures the *call site*, which the
      * happens-before auditor reports as the access site of a race.
      */
-    void mutate(const char *op,
-                std::source_location site =
-                    std::source_location::current()) const;
+    void
+    mutate(const char *op,
+           std::source_location site =
+               std::source_location::current()) const
+    {
+        hb::noteGuardAccess(*this, op, /*write=*/true, site);
+        // The main/event context (nullptr) and unbound guards pass.
+        const sim::Process *p = sim::currentProcess();
+        if (p != nullptr && _owner != nullptr && p != _owner) [[unlikely]]
+            panicForeign(op);
+    }
 
     /**
      * Record a read of the guarded structure for the happens-before
@@ -108,9 +114,13 @@ class ContextGuard : public Enrolled<ContextGuard>
      * the wrong context are not a protection violation in the
      * cooperative model, only a sharding hazard.
      */
-    void observe(const char *op,
-                 std::source_location site =
-                     std::source_location::current()) const;
+    void
+    observe(const char *op,
+            std::source_location site =
+                std::source_location::current()) const
+    {
+        hb::noteGuardAccess(*this, op, /*write=*/false, site);
+    }
 
     /**
      * RAII span of exclusive access for multi-step mutations. Entering
@@ -124,9 +134,25 @@ class ContextGuard : public Enrolled<ContextGuard>
     {
       public:
         Scope(ContextGuard &guard, const char *op,
-              std::source_location site =
-                  std::source_location::current());
-        ~Scope();
+              std::source_location site = std::source_location::current())
+            : guard(guard)
+        {
+            guard.mutate(op, site);
+            const void *ctx = sim::currentProcess();
+            if (guard.depth > 0 && guard.holder != ctx) [[unlikely]]
+                guard.panicInterleaved(op);
+            guard.holder = ctx;
+            guard.holderOp = op;
+            ++guard.depth;
+        }
+
+        ~Scope()
+        {
+            if (--guard.depth == 0) {
+                guard.holder = nullptr;
+                guard.holderOp = nullptr;
+            }
+        }
 
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
@@ -153,13 +179,23 @@ class ContextGuard : public Enrolled<ContextGuard>
     int depth = 0;
 };
 
+/** assertCaller's out-of-line failure path. */
+[[noreturn]] void panicImpersonation(const sim::Process &claimed,
+                                     const char *op);
+
 /**
  * Verify an API entry point's claimed caller: when running on a
  * process fiber, the claimed process must BE that fiber's process.
  * Called from the main context (harness/boot code acting on a
  * process's behalf) it passes. Panics on impersonation.
  */
-void assertCaller(const sim::Process &claimed, const char *op);
+inline void
+assertCaller(const sim::Process &claimed, const char *op)
+{
+    const sim::Process *p = sim::currentProcess();
+    if (p != nullptr && p != &claimed) [[unlikely]]
+        panicImpersonation(claimed, op);
+}
 
 #else // !UNET_CHECK
 

@@ -34,27 +34,15 @@ edgeNames(unsigned mask)
 
 namespace unet::check::hb {
 
-namespace {
-
-thread_local Auditor *currentAuditor = nullptr;
-
-} // namespace
-
-Auditor *
-Auditor::current()
-{
-    return currentAuditor;
-}
-
 Auditor::Auditor(sim::Simulation &sim) : _sim(sim)
 {
-    if (currentAuditor)
+    if (detail::liveAuditor)
         UNET_PANIC("happens-before auditor: one per thread (a "
                    "previous Auditor is still live)");
     if (sim.events().taskObserver())
         UNET_PANIC("happens-before auditor: the event queue already "
                    "has a TaskObserver");
-    currentAuditor = this;
+    detail::liveAuditor = this;
     sim.events().setTaskObserver(this);
 
     // The metrics registry is instrumented classify-only: counters
@@ -83,7 +71,7 @@ Auditor::~Auditor()
 {
     _sim.events().setTaskObserver(nullptr);
     _sim.metrics().setAuditHook({});
-    currentAuditor = nullptr;
+    detail::liveAuditor = nullptr;
 }
 
 void
@@ -334,11 +322,9 @@ Auditor::guardDestroyed(const ContextGuard &guard)
     _shadow.erase(&guard);
 }
 
-ScopedTaskDomain::ScopedTaskDomain(const std::string &domain)
-    : _auditor(Auditor::current())
+void
+ScopedTaskDomain::enter(std::string_view domain)
 {
-    if (!_auditor)
-        return;
     Auditor::TaskCtx &t = _auditor->top();
     _saved = t.domain;
     if (!_saved.empty() && _saved != domain)
@@ -346,27 +332,29 @@ ScopedTaskDomain::ScopedTaskDomain(const std::string &domain)
     t.domain = domain;
 }
 
-ScopedTaskDomain::~ScopedTaskDomain()
+void
+ScopedTaskDomain::leave()
 {
-    if (!_auditor)
-        return;
     _auditor->top().domain = _saved;
 }
 
+namespace detail {
+
 void
-noteGuardAccess(const ContextGuard &guard, const char *op, bool write,
-                const std::source_location &site)
+recordGuardAccess(Auditor &auditor, const ContextGuard &guard,
+                  const char *op, bool write,
+                  const std::source_location &site)
 {
-    if (Auditor *a = Auditor::current())
-        a->recordAccess(guard, op, write, site);
+    auditor.recordAccess(guard, op, write, site);
 }
 
 void
-noteGuardDestroyed(const ContextGuard &guard)
+recordGuardDestroyed(Auditor &auditor, const ContextGuard &guard)
 {
-    if (Auditor *a = Auditor::current())
-        a->guardDestroyed(guard);
+    auditor.guardDestroyed(guard);
 }
+
+} // namespace detail
 
 } // namespace unet::check::hb
 

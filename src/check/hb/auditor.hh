@@ -59,9 +59,11 @@
 #include <set>
 #include <source_location>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "check/hb/hooks.hh"
 #include "sim/event.hh"
 
 namespace unet::sim {
@@ -139,7 +141,7 @@ class Auditor : public sim::TaskObserver
     Auditor &operator=(const Auditor &) = delete;
 
     /** The live auditor on this thread, or nullptr (guard hooks). */
-    static Auditor *current();
+    static Auditor *current() { return detail::liveAuditor; }
 
     /** @name sim::TaskObserver — the scheduler's ordering edges. @{ */
     void onEventScheduled(std::uint64_t seq, sim::Tick when,
@@ -261,21 +263,32 @@ class Auditor : public sim::TaskObserver
 class ScopedTaskDomain
 {
   public:
-    explicit ScopedTaskDomain(const std::string &domain);
-    ~ScopedTaskDomain();
+    /** With no live auditor, construction and destruction are one
+     *  inline null test each: a literal domain such as "fabric.eth"
+     *  is never built into a std::string. */
+    explicit ScopedTaskDomain(std::string_view domain)
+        : _auditor(Auditor::current())
+    {
+        if (_auditor) [[unlikely]]
+            enter(domain);
+    }
+
+    ~ScopedTaskDomain()
+    {
+        if (_auditor) [[unlikely]]
+            leave();
+    }
 
     ScopedTaskDomain(const ScopedTaskDomain &) = delete;
     ScopedTaskDomain &operator=(const ScopedTaskDomain &) = delete;
 
   private:
+    void enter(std::string_view domain);
+    void leave();
+
     Auditor *_auditor;
     std::string _saved;
 };
-
-/** ContextGuard hook bodies (called from check/access.cc). */
-void noteGuardAccess(const ContextGuard &guard, const char *op,
-                     bool write, const std::source_location &site);
-void noteGuardDestroyed(const ContextGuard &guard);
 
 #else // !UNET_CHECK
 
@@ -310,7 +323,7 @@ class Auditor
 class ScopedTaskDomain
 {
   public:
-    explicit ScopedTaskDomain(const std::string &) {}
+    explicit ScopedTaskDomain(std::string_view) {}
 
     ScopedTaskDomain(const ScopedTaskDomain &) = delete;
     ScopedTaskDomain &operator=(const ScopedTaskDomain &) = delete;

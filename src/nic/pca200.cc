@@ -320,8 +320,11 @@ Pca200::handleCell(const atm::Cell &cell)
         // ends when the message is delivered (or the CRC drops it).
         _residency.pin(vc.ep->id());
         auto payload = vc.reasm.addCell(cell);
+        // Calls serviceRxFifo() itself rather than capturing `next`:
+        // the capture then fits the event queue's inline callable
+        // storage, so a single-cell message allocates nothing.
         coproc.run(_spec.rxSingleCell + fault,
-                   [this, &vc, payload = std::move(payload), next,
+                   [this, &vc, payload = std::move(payload),
                     ctx = cell.trace]() mutable {
             if (!payload) {
                 ++_crcDrops;
@@ -350,7 +353,7 @@ Pca200::handleCell(const atm::Cell &cell)
                     _residency.unpin(vc.ep->id());
                 });
             }
-            next();
+            serviceRxFifo();
         });
         return;
     }

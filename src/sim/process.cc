@@ -7,12 +7,6 @@
 
 namespace unet::sim {
 
-namespace {
-
-thread_local Process *currentProcess = nullptr;
-
-} // namespace
-
 void
 WaitChannel::notifyAll()
 {
@@ -43,12 +37,6 @@ Process::Process(Simulation &sim, std::string name,
 
 Process::~Process() = default;
 
-Process *
-Process::current()
-{
-    return currentProcess;
-}
-
 void
 Process::start(Tick delay)
 {
@@ -70,20 +58,20 @@ Process::resume()
     TaskObserver *observer = sim.events().taskObserver();
     if (observer) [[unlikely]]
         observer->onFiberResume(*this);
-    Process *prev = currentProcess;
-    currentProcess = this;
+    Process *prev = detail::runningProcess;
+    detail::runningProcess = this;
     try {
         fiber->run();
     } catch (...) {
         // A captured panic from the fiber body (see Fiber::run) keeps
         // propagating toward the explorer's run loop; restore the
         // current-process slot on the way through.
-        currentProcess = prev;
+        detail::runningProcess = prev;
         if (observer) [[unlikely]]
             observer->onFiberSuspend(*this);
         throw;
     }
-    currentProcess = prev;
+    detail::runningProcess = prev;
     if (observer) [[unlikely]]
         observer->onFiberSuspend(*this);
 }
@@ -108,7 +96,7 @@ Process::suspend()
 void
 Process::delay(Tick d)
 {
-    if (currentProcess != this)
+    if (detail::runningProcess != this)
         UNET_PANIC("delay() called from outside process '", _name, "'");
     if (d < 0)
         UNET_PANIC("negative delay in process '", _name, "'");
@@ -120,7 +108,7 @@ Process::delay(Tick d)
 void
 Process::waitOn(WaitChannel &ch)
 {
-    if (currentProcess != this)
+    if (detail::runningProcess != this)
         UNET_PANIC("waitOn() called from outside process '", _name, "'");
     wokenByNotify = false;
     ch.waiters.push_back(this);
@@ -131,7 +119,7 @@ Process::waitOn(WaitChannel &ch)
 bool
 Process::waitOn(WaitChannel &ch, Tick timeout)
 {
-    if (currentProcess != this)
+    if (detail::runningProcess != this)
         UNET_PANIC("waitOn() called from outside process '", _name, "'");
     wokenByNotify = false;
     ch.waiters.push_back(this);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/current_process.hh"
 #include "sim/event.hh"
 #include "sim/fiber.hh"
 #include "sim/simulation.hh"
@@ -106,7 +107,7 @@ class Process
     Simulation &simulation() { return sim; }
 
     /** The process currently executing, or nullptr. */
-    static Process *current();
+    static Process *current() { return currentProcess(); }
 
     /**
      * @name Blocking operations — only callable from inside the body.

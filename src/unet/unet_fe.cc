@@ -61,10 +61,11 @@ UNetFe::UNetFe(host::Host &host, nic::Dc21140 &nic, UNetFeSpec spec)
     }
 
     nic.interrupt().connect([this] { rxInterrupt(); });
-    // Eager reap: release a slot's fragment (and its endpoint pin) the
-    // moment the device writes the completion back, instead of at the
-    // next trap. Keeps pin windows tight so eviction is never blocked
-    // by a frame that already left the wire.
+    // The only reap: release a slot's fragment (and its endpoint pin)
+    // the moment the device writes the completion back. The writeback
+    // is also the only place the DC21140 clears a TX own bit, so no
+    // other code can see a completed slot that still holds a fragment,
+    // and pin windows close as soon as the frame leaves the wire.
     nic.onTxComplete([this](std::size_t slot) { reapTxSlot(slot); });
 }
 
@@ -177,9 +178,6 @@ UNetFe::submit(sim::Process &proc, Endpoint &ep,
     // kernel-crossing costs are batched.
     cpu.busy(proc,
              static_cast<sim::Tick>(n) * _spec.userDescriptorPush);
-    // Release fragments whose ring slots have since completed, so a
-    // legitimate re-post of the same buffer is not flagged below.
-    reapTx();
     std::size_t accepted = ep.postSends(descs, n);
     if (accepted == 0)
         return 0;
@@ -318,11 +316,11 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
             // process filling the next slot is legal.
             check::ContextGuard::Scope fill(_nic.txFillGuard(),
                                             "tx descriptor fill");
-            // cpu.busy() above may have advanced simulated time, so
-            // the slot could have completed a previous frame since the
-            // reap at trap entry; release its fragment before reusing
-            // the slot.
-            reapTxSlot(slot);
+            // A slot the driver may fill has completed, and its
+            // completion already released the previous fragment.
+            if (txSlotFrag[slot])
+                UNET_PANIC("U-Net/FE: filling TX slot ", slot,
+                           " that still holds a fragment");
             ring_desc.buf1Offset =
                 static_cast<std::uint32_t>(headerBufOffset[slot]);
             ring_desc.buf1Length =
@@ -339,12 +337,12 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
                 _residency.pin(ep.id());
             } else {
                 ring_desc.buf2Length = 0;
-                txSlotFrag[slot].reset();
             }
             ring_desc.transmitted = false;
             ring_desc.aborted = false;
             ring_desc.trace = desc.trace;
             ring_desc.own = true;
+            ++_txOwned;
             _nic.bumpTxTail();
         }
 
@@ -385,34 +383,24 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
 void
 UNetFe::reapTxSlot(std::size_t slot)
 {
-    // Completion reaping is host-shard work, whether reached from the
-    // device's writeback event or a trap-time reapTx() sweep.
+    // Completion reaping is host-shard work, whichever chain the
+    // device's writeback event arrives on.
     check::hb::ScopedTaskDomain shard(_host.name());
+    --_txOwned;
     auto &record = txSlotFrag[slot];
-    if (!record || _nic.txDesc(slot).own)
+    if (!record)
         return;
     record->first->releaseSend(record->second);
     _residency.unpin(record->first->id());
     record.reset();
 }
 
-void
-UNetFe::reapTx()
-{
-    for (std::size_t i = 0; i < txSlotFrag.size(); ++i)
-        reapTxSlot(i);
-}
-
 std::size_t
 UNetFe::txBacklog(const Endpoint &ep) const
 {
-    std::size_t backlog = ep.sendQueue().size();
     // Ring descriptors still owned by the NIC may not have gathered
     // their buffers yet; counting them all is conservative but safe.
-    for (std::size_t i = 0; i < _nic.txRingSize(); ++i)
-        if (_nic.txDesc(i).own)
-            ++backlog;
-    return backlog;
+    return ep.sendQueue().size() + _txOwned;
 }
 
 void
@@ -421,7 +409,6 @@ UNetFe::flush(sim::Process &proc, Endpoint &ep)
     check::assertCaller(proc, "UNetFe::flush");
     if (!checkOwner(proc, ep))
         return;
-    reapTx();
     if (ep.sendQueue().empty())
         return;
     _host.trapEnter(proc);

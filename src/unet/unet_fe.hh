@@ -199,12 +199,9 @@ class UNetFe : public UNet
     /** DC21140 receive interrupt handler. */
     void rxInterrupt();
 
-    /** Release ownership of a user fragment whose TX ring slot the
-     *  device has completed (own bit cleared). */
+    /** DC21140 TX completion hook (the slot's own bit was just
+     *  cleared): release the user fragment the slot referenced. */
     void reapTxSlot(std::size_t slot);
-
-    /** Reap every completed TX ring slot. */
-    void reapTx();
 
     /**
      * Account one modeled kernel step: advance the accumulated cost
@@ -264,6 +261,10 @@ class UNetFe : public UNet
      *  it (ownership tracking: released when the slot completes). */
     std::vector<std::optional<std::pair<Endpoint *, BufferRef>>>
         txSlotFrag;
+
+    /** TX ring slots the device owns: counted up when the trap
+     *  publishes a descriptor, down by its completion writeback. */
+    std::size_t _txOwned = 0;
 
     /** Kernel receive buffers behind the device RX ring. */
     std::size_t kernelRxHead = 0;

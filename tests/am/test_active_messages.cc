@@ -254,6 +254,65 @@ TEST(ActiveMessages, LossyChannelStressStaysReliable)
     EXPECT_GT(p.amA->retransmits(), 0u);
 }
 
+TEST(ActiveMessages, FeTxBacklogMatchesRingSweepUnderLoss)
+{
+    AmPair p;
+    // AM asks U-Net/FE for its TX backlog before every retransmit and
+    // zombie-chunk reclaim; lossy traffic with payloads and bulk
+    // stores drives both paths while the probe compares the O(1)
+    // count with a full ring sweep after every event.
+    fault::ModelSpec loss;
+    loss.drop = 0.1;
+    fault::Injector inj(p.s, "eth.link.0", loss, 7);
+    p.link.setFaultInjector(&inj, 0);
+    TxBacklogProbe probe(p.s, p.a.unet, *p.epA);
+
+    const int total = 120;
+    int received = 0;
+    std::size_t stored = 0;
+    std::vector<std::uint8_t> sink(64 * 1024);
+
+    p.bodyB = [&](sim::Process &proc) {
+        p.amB->setHandler(1, [&](sim::Process &, Token, const Args &,
+                                 std::span<const std::uint8_t>) {
+            ++received;
+        });
+        p.amB->setBulkSink(
+            [&](std::uint32_t addr, std::span<const std::uint8_t> data) {
+                std::copy(data.begin(), data.end(), sink.begin() + addr);
+                stored += data.size();
+            });
+        p.amB->pollUntil(proc, [&] { return received >= total; }, 2_s);
+        p.amB->pollUntil(proc, [] { return false; }, 2_ms);
+    };
+    p.bodyA = [&](sim::Process &proc) {
+        sim::Random rng(20261020);
+        for (int i = 0; i < total; ++i) {
+            auto payload = pattern(
+                static_cast<std::size_t>(rng.uniform(0, 1000)),
+                static_cast<std::uint8_t>(i));
+            ASSERT_TRUE(p.amA->request(proc, p.chanA, 1,
+                                       {static_cast<Word>(i), 0, 0, 0},
+                                       payload));
+            if (i % 40 == 0) {
+                auto bulk = pattern(8000, static_cast<std::uint8_t>(i));
+                ASSERT_TRUE(p.amA->store(
+                    proc, p.chanA, static_cast<std::uint32_t>(i) * 100,
+                    bulk));
+            }
+        }
+        EXPECT_TRUE(p.amA->drain(proc, 2_s));
+    };
+    p.run();
+
+    EXPECT_EQ(received, total);
+    EXPECT_EQ(stored, 3u * 8000u);
+    EXPECT_GT(p.amA->retransmits(), 0u);
+    EXPECT_GT(probe.checks, static_cast<std::size_t>(total));
+    EXPECT_GT(probe.maxBacklog, 0u);
+    EXPECT_EQ(probe.mismatches, 0u);
+}
+
 TEST(ActiveMessages, ChannelDiesAfterMaxRetries)
 {
     AmPair p;

@@ -5,14 +5,19 @@
  * salt, the clean reference topologies audit race-free, the canonical
  * shardability report is byte-stable across perturbation salts, and
  * the fiber suspension-point digest distinguishes states the explorer
- * would otherwise over-prune together.
+ * would otherwise over-prune together. ScopedTaskDomain retags are
+ * pinned directly: a no-op without an auditor, an edgeCall crossing
+ * only between two different non-empty domains.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
+#include "check/access.hh"
+#include "check/hb/auditor.hh"
 #include "check/hb/report.hh"
 #include "check/hb/topos.hh"
 #include "sim/perturb.hh"
@@ -189,6 +194,106 @@ TEST(HbTopos, RegistryIsConsistent)
         EXPECT_FALSE(t.summary.empty()) << t.name;
     }
     EXPECT_EQ(hb::findTopo("no-such-topo"), nullptr);
+}
+
+namespace {
+
+/**
+ * The auditor's per-object summaries after a fiber bound to @p bound
+ * touches guard "before", then guard "inside" under a retag to
+ * @p domain, then guard "after" once the retag has closed.
+ */
+template <typename Domain>
+std::map<std::string, hb::ObjectSummary>
+retagSummaries(const char *bound, const Domain &domain)
+{
+    sim::Simulation s;
+    hb::Auditor auditor(s);
+    ContextGuard before("before"), inside("inside"), after("after");
+    sim::Process p(s, "p", [&](sim::Process &) {
+        before.mutate("touch");
+        {
+            hb::ScopedTaskDomain retag(domain);
+            inside.mutate("touch");
+        }
+        after.mutate("touch");
+    });
+    p.bindShardDomain(bound);
+    p.start();
+    s.run();
+    return auditor.objects();
+}
+
+using Domains = std::set<std::string>;
+
+} // namespace
+
+TEST(HbScopedTaskDomain, NoOpWithoutAuditor)
+{
+    ASSERT_EQ(hb::Auditor::current(), nullptr);
+    sim::Simulation s;
+    ContextGuard guard("guard");
+    std::string seen;
+    sim::Process p(s, "p", [&](sim::Process &self) {
+        hb::ScopedTaskDomain by_pointer("b");
+        hb::ScopedTaskDomain by_string(std::string("c"));
+        guard.mutate("touch");
+        seen = self.shardDomain();
+    });
+    p.bindShardDomain("a");
+    p.start();
+    s.run();
+    EXPECT_EQ(seen, "a");
+    EXPECT_EQ(hb::Auditor::current(), nullptr);
+}
+
+TEST(HbScopedTaskDomain, CrossDomainRetagRecordsCallAndRestores)
+{
+    auto objects = retagSummaries<const char *>("a", "b");
+    EXPECT_EQ(objects.at("before").domains, Domains{"a"});
+    EXPECT_EQ(objects.at("before").edges, unsigned{hb::edgeFiber});
+    EXPECT_EQ(objects.at("inside").domains, Domains{"b"});
+    EXPECT_EQ(objects.at("inside").edges,
+              unsigned{hb::edgeFiber | hb::edgeCall});
+    // The task's own domain comes back at scope exit; the crossing it
+    // made stays on its edge record.
+    EXPECT_EQ(objects.at("after").domains, Domains{"a"});
+    EXPECT_EQ(objects.at("after").edges,
+              unsigned{hb::edgeFiber | hb::edgeCall});
+}
+
+TEST(HbScopedTaskDomain, SameOrUnboundDomainRecordsNoCall)
+{
+    auto same = retagSummaries<const char *>("a", "a");
+    for (const char *label : {"before", "inside", "after"}) {
+        EXPECT_EQ(same.at(label).domains, Domains{"a"}) << label;
+        EXPECT_EQ(same.at(label).edges, unsigned{hb::edgeFiber})
+            << label;
+    }
+    // An unbound fiber is a wildcard: entering a domain is no
+    // crossing.
+    auto unbound = retagSummaries<const char *>("", "b");
+    EXPECT_EQ(unbound.at("inside").domains, Domains{"b"});
+    EXPECT_EQ(unbound.at("inside").edges, unsigned{hb::edgeFiber});
+    EXPECT_EQ(unbound.at("after").domains, Domains{});
+}
+
+TEST(HbScopedTaskDomain, CharPointerAndStringDomainsAgree)
+{
+    for (const char *target : {"a", "b"}) {
+        auto by_pointer = retagSummaries<const char *>("a", target);
+        auto by_string = retagSummaries("a", std::string(target));
+        ASSERT_EQ(by_pointer.size(), by_string.size()) << target;
+        for (const auto &[label, summary] : by_pointer) {
+            const hb::ObjectSummary &other = by_string.at(label);
+            EXPECT_EQ(summary.domains, other.domains) << label;
+            EXPECT_EQ(summary.edges, other.edges) << label;
+            EXPECT_EQ(summary.reads, other.reads) << label;
+            EXPECT_EQ(summary.writes, other.writes) << label;
+            EXPECT_EQ(summary.races, other.races) << label;
+            EXPECT_EQ(summary.classifyOnly, other.classifyOnly) << label;
+        }
+    }
 }
 
 #endif // UNET_CHECK

@@ -87,9 +87,11 @@ TEST(FaultModel, DeterministicDropsConsumeNoRandomness)
     both.dropUnits = {2, 7};
     auto a = stream(bern, 9, 50);
     auto b = stream(both, 9, 50);
-    for (int i = 0; i < 50; ++i)
-        if (i != 2 && i != 7)
+    for (int i = 0; i < 50; ++i) {
+        if (i != 2 && i != 7) {
             EXPECT_EQ(a[i].drop, b[i].drop) << "unit " << i;
+        }
+    }
     EXPECT_TRUE(b[2].drop);
     EXPECT_TRUE(b[7].drop);
 }

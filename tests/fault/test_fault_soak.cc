@@ -149,9 +149,10 @@ TEST_P(FaultSoak, BidirectionalAmSurvivesScenario)
         destroyed += inj->dropped() + inj->corrupted();
         corrupted += inj->corrupted();
     }
-    if (destroyed > 0)
+    if (destroyed > 0) {
         EXPECT_GT(amA->retransmits() + amB->retransmits(), 0u)
             << sc.name << " seed=" << seed;
+    }
     EXPECT_EQ(a.unet.rxBadFrame() + b.unet.rxBadFrame(), corrupted)
         << sc.name << " seed=" << seed;
 }
@@ -244,11 +245,13 @@ TEST_P(FaultSoakAtm, BulkStoreSurvivesBurstLossAndCorruption)
     }
     std::uint64_t crc_drops =
         star[0].nic.crcDrops() + star[1].nic.crcDrops();
-    if (corrupted > 0)
+    if (corrupted > 0) {
         EXPECT_GT(crc_drops, 0u) << "seed=" << seed;
+    }
     EXPECT_LE(crc_drops, dropped + corrupted);
-    if (dropped + corrupted > 0)
+    if (dropped + corrupted > 0) {
         EXPECT_GT(amA->retransmits() + amB->retransmits(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultSoakAtm,

@@ -177,8 +177,9 @@ expectHopChain(
     ASSERT_EQ(chain.size(), expected.size());
     for (std::size_t i = 0; i < chain.size(); ++i) {
         EXPECT_EQ(chain[i].kind, expected[i].first) << "hop " << i;
-        if (!expected[i].second.empty())
+        if (!expected[i].second.empty()) {
             EXPECT_EQ(chain[i].track, expected[i].second) << "hop " << i;
+        }
     }
     expectTiles(chain, run.posted, run.consumed[0]);
 }

@@ -1,12 +1,14 @@
 /**
  * @file
  * Test rigs for the U-Net implementations: the topology builder's
- * node aggregates, an ATM star on it, and a payload pattern.
+ * node aggregates, an ATM star on it, a U-Net/FE TX-backlog probe and
+ * a payload pattern.
  */
 
 #ifndef UNET_TESTS_UNET_FIXTURES_HH
 #define UNET_TESTS_UNET_FIXTURES_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "topo/topology.hh"
@@ -50,6 +52,64 @@ struct AtmStar
         }
         return sp;
     }
+};
+
+/**
+ * Checks UNetFe::txBacklog against a sweep of the DC21140 TX ring
+ * (send-queue entries plus every descriptor the device owns) after
+ * every event and every fiber slice, while installed as the
+ * simulation's task observer.
+ */
+class TxBacklogProbe : public sim::TaskObserver
+{
+  public:
+    TxBacklogProbe(sim::Simulation &s, UNetFe &unet, const Endpoint &ep)
+        : s(s), unet(unet), ep(ep)
+    {
+        s.events().setTaskObserver(this);
+    }
+
+    ~TxBacklogProbe() override { s.events().setTaskObserver(nullptr); }
+
+    TxBacklogProbe(const TxBacklogProbe &) = delete;
+    TxBacklogProbe &operator=(const TxBacklogProbe &) = delete;
+
+    /** The backlog as a full ring sweep computes it. */
+    std::size_t
+    ringSweep() const
+    {
+        std::size_t backlog = ep.sendQueue().size();
+        for (std::size_t i = 0; i < unet.nic().txRingSize(); ++i)
+            if (unet.nic().txDesc(i).own)
+                ++backlog;
+        return backlog;
+    }
+
+    std::size_t checks = 0;
+    std::size_t mismatches = 0;
+    std::size_t maxBacklog = 0;
+
+    void onEventScheduled(std::uint64_t, sim::Tick, sim::Order) override {}
+    void onEventFireBegin(std::uint64_t, sim::Tick, sim::Order) override {}
+    void onEventFireEnd(std::uint64_t) override { check(); }
+    void onEventCancelled(std::uint64_t) override {}
+    void onFiberResume(sim::Process &) override {}
+    void onFiberSuspend(sim::Process &) override { check(); }
+
+  private:
+    void
+    check()
+    {
+        const std::size_t sweep = ringSweep();
+        ++checks;
+        if (unet.txBacklog(ep) != sweep)
+            ++mismatches;
+        maxBacklog = std::max(maxBacklog, sweep);
+    }
+
+    sim::Simulation &s;
+    UNetFe &unet;
+    const Endpoint &ep;
 };
 
 /** A recognizable payload. */

@@ -44,6 +44,56 @@ TEST(UNetAtm, SingleCellMessageEndToEnd)
     EXPECT_EQ(star[1].nic.messagesDelivered(), 1u);
 }
 
+TEST(UNetAtm, SingleCellRoundTripsAllocateNoEventCallables)
+{
+    // The PCA-200's single-cell receive path schedules its firmware
+    // completion with a capture that must fit the event queue's
+    // inline storage: a ping-pong of single-cell messages adds no
+    // heap-allocated callable.
+    sim::Simulation s;
+    AtmStar star(s, 2);
+
+    Endpoint *epA = nullptr, *epB = nullptr;
+    ChannelId chanA = invalidChannel, chanB = invalidChannel;
+    constexpr int kRoundTrips = 200;
+    auto data = pattern(40);
+    int echoed = 0, returned = 0;
+
+    sim::Process pong(s, "pong", [&](sim::Process &self) {
+        RecvDescriptor rd;
+        for (int i = 0; i < kRoundTrips; ++i) {
+            if (!epB->wait(self, rd, 10_ms) || !rd.isSmall)
+                return;
+            star[1].unet.send(self, *epB, inlineSend(chanB, data));
+            ++echoed;
+        }
+    });
+    sim::Process ping(s, "ping", [&](sim::Process &self) {
+        RecvDescriptor rd;
+        for (int i = 0; i < kRoundTrips; ++i) {
+            star[0].unet.send(self, *epA, inlineSend(chanA, data));
+            if (!epA->wait(self, rd, 10_ms) || !rd.isSmall)
+                return;
+            ++returned;
+        }
+    });
+
+    epA = &star[0].unet.createEndpoint(&ping, {});
+    epB = &star[1].unet.createEndpoint(&pong, {});
+    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
+                     *epB, star.ports[1], star.signalling, chanA, chanB);
+
+    const std::uint64_t before = s.events().heapCallableAllocs();
+    pong.start();
+    ping.start(1_us);
+    s.run();
+
+    EXPECT_EQ(echoed, kRoundTrips);
+    EXPECT_EQ(returned, kRoundTrips);
+    EXPECT_EQ(star[0].nic.cellsSent(), std::uint64_t{kRoundTrips});
+    EXPECT_EQ(s.events().heapCallableAllocs(), before);
+}
+
 TEST(UNetAtm, MultiCellMessageIntoBuffers)
 {
     sim::Simulation s;

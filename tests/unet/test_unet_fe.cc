@@ -332,3 +332,70 @@ TEST(UNetFe, UnknownSourceChannelCounted)
     s.run();
     EXPECT_EQ(b.unet.rxNoChannel(), 1u);
 }
+
+TEST(UNetFe, TxBacklogMatchesRingSweepUnderSendvAndFlush)
+{
+    sim::Simulation s;
+    eth::FullDuplexLink link(s);
+    FeNode a(s, link, 0), b(s, link, 1);
+
+    Endpoint *epA = nullptr, *epB = nullptr;
+    ChannelId chanA = invalidChannel, chanB = invalidChannel;
+    constexpr std::size_t kMessages = 600;
+    constexpr std::uint32_t kRegion = 1024;
+    // 64-entry send queue + 64-slot TX ring: a region is re-posted
+    // only after 128 later sends, when it has left the device.
+    constexpr std::size_t kRegions = 128;
+    std::size_t sent = 0;
+
+    sim::Process rx(s, "rx", [](sim::Process &) {});
+    sim::Process tx(s, "tx", [&](sim::Process &self) {
+        sim::Random rng(20261020);
+        auto inline_data = pattern(16);
+        std::array<SendDescriptor, 16> batch;
+        while (sent < kMessages) {
+            const auto n = static_cast<std::size_t>(std::min<std::int64_t>(
+                rng.uniform(1, 16),
+                static_cast<std::int64_t>(kMessages - sent)));
+            for (std::size_t i = 0; i < n; ++i) {
+                if (rng.uniform(0, 3) == 0) {
+                    batch[i] = inlineSend(chanA, inline_data);
+                } else {
+                    const auto off = static_cast<std::uint32_t>(
+                        ((sent + i) % kRegions) * kRegion);
+                    const auto len =
+                        static_cast<std::uint32_t>(rng.uniform(100, 1000));
+                    batch[i] = fragmentSend(chanA, {off, len});
+                }
+            }
+            sent += a.unet.sendv(self, *epA, batch.data(), n);
+            if (rng.uniform(0, 3) == 0)
+                a.unet.flush(self, *epA);
+            if (rng.uniform(0, 1) == 0)
+                self.delay(sim::microseconds(rng.uniform(0, 120)));
+        }
+        // Flush whatever the last traps left in the send queue.
+        for (int i = 0; i < 100 && !epA->sendQueue().empty(); ++i) {
+            a.unet.flush(self, *epA);
+            self.delay(50_us);
+        }
+    });
+
+    epA = &a.unet.createEndpoint(&tx, {});
+    epB = &b.unet.createEndpoint(&rx, {});
+    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+
+    TxBacklogProbe probe(s, a.unet, *epA);
+    rx.start();
+    tx.start(1_us);
+    s.run();
+
+    EXPECT_EQ(sent, kMessages);
+    EXPECT_EQ(a.unet.messagesSent(), kMessages);
+    EXPECT_GT(probe.checks, kMessages);
+    EXPECT_EQ(probe.mismatches, 0u);
+    // The send queue and the ring were both loaded at some point.
+    EXPECT_GT(probe.maxBacklog, 64u);
+    EXPECT_EQ(a.unet.txBacklog(*epA), 0u);
+    EXPECT_EQ(epA->ownership().tracked(), 0u);
+}
