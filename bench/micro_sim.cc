@@ -4,72 +4,25 @@
  * itself (host wall-clock, not simulated time): event queue throughput
  * and fiber context-switch cost.
  *
- * This translation unit overrides global operator new/delete to count
- * heap allocations, so every benchmark can report allocs_per_op and
- * the steady-state benchmarks can demonstrate the zero-allocation
- * event hot path (pooled records + small-buffer-optimized callables).
+ * The binary links a replaced global operator new/delete that counts
+ * heap allocations (alloc_counter.hh), so every benchmark can report
+ * allocs_per_op and the steady-state benchmarks can demonstrate the
+ * zero-allocation event hot path (pooled records + small-buffer-
+ * optimized callables). Pooled buffers (fiber stacks) come from
+ * calloc and are not counted.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hh"
 #include "sim/event.hh"
 #include "sim/fiber.hh"
 #include "sim/process.hh"
 
 using namespace unet::sim;
-
-namespace {
-
-/** Global heap-allocation counter (single-threaded benchmarks). */
-std::uint64_t allocCount = 0;
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+using unet::bench::heapAllocs;
 
 namespace {
 
@@ -81,7 +34,7 @@ finishEventBench(benchmark::State &state, std::uint64_t allocs_before)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
     state.counters["allocs_per_op"] = benchmark::Counter(
-        static_cast<double>(allocCount - allocs_before) /
+        static_cast<double>(heapAllocs() - allocs_before) /
         static_cast<double>(state.iterations()));
 }
 
@@ -96,7 +49,7 @@ BM_EventScheduleFire(benchmark::State &state)
         q.scheduleIn(1, [&n] { ++n; });
         q.step();
     }
-    std::uint64_t allocs = allocCount;
+    std::uint64_t allocs = heapAllocs();
     for (auto _ : state) {
         q.scheduleIn(1, [&n] { ++n; });
         q.step();
@@ -123,7 +76,7 @@ BM_EventScheduleFireLargeCapture(benchmark::State &state)
         q.scheduleIn(1, [big] { ++*big.target; });
         q.step();
     }
-    std::uint64_t allocs = allocCount;
+    std::uint64_t allocs = heapAllocs();
     for (auto _ : state) {
         q.scheduleIn(1, [big] { ++*big.target; });
         q.step();
@@ -144,7 +97,7 @@ BM_EventCancelReuse(benchmark::State &state)
         auto h = q.scheduleIn(1000, [&n] { ++n; });
         h.cancel();
     }
-    std::uint64_t allocs = allocCount;
+    std::uint64_t allocs = heapAllocs();
     for (auto _ : state) {
         auto h = q.scheduleIn(1000, [&n] { ++n; });
         h.cancel();
@@ -166,7 +119,7 @@ BM_MemberEventRearm(benchmark::State &state)
         ev.scheduleIn(1);
         q.step();
     }
-    std::uint64_t allocs = allocCount;
+    std::uint64_t allocs = heapAllocs();
     for (auto _ : state) {
         ev.scheduleIn(1);
         q.step();
@@ -224,7 +177,7 @@ BM_ProcessDelay(benchmark::State &state)
     p.start();
     for (int i = 0; i < 1024; ++i)
         s.events().step();
-    std::uint64_t allocs = allocCount;
+    std::uint64_t allocs = heapAllocs();
     for (auto _ : state)
         s.events().step();
     benchmark::DoNotOptimize(rounds);

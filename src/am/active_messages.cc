@@ -284,8 +284,11 @@ ActiveMessages::processAck(ChannelState &ch, std::uint8_t ack)
         ch.credits.release();
         ch.window.pop_front();
     }
-    if (covered > 0)
-        ch.retries = 0; // progress resets the give-up counter
+    if (covered > 0) {
+        // Progress resets the give-up counters.
+        ch.retries = 0;
+        ch.stalledKicks = 0;
+    }
 }
 
 void
@@ -401,12 +404,30 @@ ActiveMessages::checkTimeouts(sim::Process &proc)
         // If the data is still sitting in the device path (send queue
         // or TX ring), it has not been lost — duplicating descriptors
         // would only stuff the queue and burn the retry budget. Kick
-        // the device and re-arm the timer instead.
-        if (unet.txBacklog(ep) > 0) {
+        // the device and re-arm the timer instead. A device path that
+        // never drains must still let the channel die, so kicks that
+        // saw no drain since the previous kick (no send-queue pop, no
+        // smaller backlog) are bounded like retries.
+        if (std::size_t backlog = unet.txBacklog(ep)) {
+            const std::uint64_t popped = ep.sendQueue().popped();
+            const bool drained =
+                popped != ch.kickPopped || backlog < ch.kickBacklog;
+            ch.stalledKicks = drained ? 1 : ch.stalledKicks + 1;
+            ch.kickBacklog = backlog;
+            ch.kickPopped = popped;
+            if (ch.stalledKicks > _spec.maxRetries) {
+                UNET_WARN("AM: channel ", chan, " dead after ",
+                          _spec.maxRetries,
+                          " kicks of a device path that did not drain");
+                ch.dead = true;
+                ++_dead;
+                continue;
+            }
             unet.flush(proc, ep);
             ch.lastTx = now;
             continue;
         }
+        ch.stalledKicks = 0;
 
         if (++ch.retries > _spec.maxRetries) {
             UNET_WARN("AM: channel ", chan, " dead after ",

@@ -62,7 +62,9 @@ struct AmSpec
     /** Retransmit timeout. */
     sim::Tick retransmitTimeout = sim::milliseconds(1);
 
-    /** Give up (mark the channel dead) after this many retries. */
+    /** Give up (mark the channel dead) after this many retries, or
+     *  after this many consecutive timeouts that found the device path
+     *  holding data it did not drain. */
     int maxRetries = 16;
 
     /** Send an explicit ACK after this many unacked receives... */
@@ -230,6 +232,11 @@ class ActiveMessages
         std::deque<Pending> window;   ///< unacked, oldest first
         sim::Tick lastTx = 0;
         int retries = 0;
+        /** Consecutive timeouts that kicked a device path holding
+         *  data without seeing it drain (bounded by maxRetries). */
+        int stalledKicks = 0;
+        std::size_t kickBacklog = 0;  ///< txBacklog at the last kick
+        std::uint64_t kickPopped = 0; ///< send-queue pops by then
 
         std::uint8_t rxExpected = 0;  ///< next in-order sequence
         std::size_t unackedRx = 0;    ///< receives since last ack out

@@ -12,6 +12,7 @@
 #ifndef UNET_HOST_MEMORY_HH
 #define UNET_HOST_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -29,10 +30,18 @@ class Memory
     explicit Memory(std::size_t size = 4 * 1024 * 1024) : bytes(size)
     {
         // The arena is pooled across simulations (benchmark sweeps
-        // construct hosts in bursts); a recycled buffer carries stale
-        // contents, so restore the zeroed-memory contract here.
-        std::memset(bytes.data(), 0, bytes.size());
+        // construct hosts in bursts). Only the block's dirty prefix can
+        // hold a previous user's bytes; the rest already reads zero
+        // (sim/pool.hh), so clearing the prefix restores the
+        // zeroed-memory contract without touching untouched pages.
+        std::memset(bytes.data(), 0, bytes.dirtyPrefix());
     }
+
+    /** Hand the arena back declaring what it may have dirtied: every
+     *  byte below the bump pointer or a mutable region()'s end. The
+     *  bump pointer alone is not enough, since region() bounds-checks
+     *  against the arena, not against brk. */
+    ~Memory() { bytes.declareDirty(std::max(brk, touched)); }
 
     std::size_t size() const { return bytes.size(); }
 
@@ -63,6 +72,7 @@ class Memory
         if (offset + len > bytes.size())
             UNET_PANIC("memory access out of bounds: [", offset, ", ",
                        offset + len, ") of ", bytes.size());
+        touched = std::max(touched, offset + len);
         return {bytes.data() + offset, len};
     }
 
@@ -95,6 +105,7 @@ class Memory
   private:
     sim::RecycledBuffer bytes;
     std::size_t brk = 0;
+    std::size_t touched = 0; ///< highest end of a mutable region()
 };
 
 } // namespace unet::host

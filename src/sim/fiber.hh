@@ -82,10 +82,11 @@ class Fiber
     void checkCanary() const;
 
     std::function<void()> body;
-    /** Pooled stack storage: acquired unzeroed from a per-thread free
-     *  list and returned on destruction, so fiber churn does not pay
-     *  an mmap + page-fault cycle per spawn. Stacks need no zeroing —
-     *  the constructor writes the first frame the switch pops. */
+    /** Pooled stack storage: acquired from a per-thread pool and
+     *  returned on destruction, so fiber churn does not pay an mmap +
+     *  page-fault cycle per spawn. Stacks need no zeroing (the
+     *  constructor writes the first frame the switch pops) and declare
+     *  no dirty prefix, so the whole block goes back as dirty. */
     RecycledBuffer stack;
     /** Saved stack pointer of the suspended fiber. */
     void *fiberSp = nullptr;

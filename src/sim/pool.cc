@@ -1,7 +1,9 @@
 #include "sim/pool.hh"
 
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/perturb.hh"
@@ -10,11 +12,18 @@ namespace unet::sim {
 
 namespace {
 
+/** Releases a calloc'd block. */
+struct FreeBlock
+{
+    void operator()(unsigned char *p) const { std::free(p); }
+};
+
 /** A retired buffer awaiting reuse. */
 struct PooledBlock
 {
-    std::unique_ptr<unsigned char[]> base;
+    std::unique_ptr<unsigned char, FreeBlock> base;
     std::size_t pad;
+    std::size_t dirty; ///< leading usable bytes that may be non-zero
 };
 
 /**
@@ -44,7 +53,8 @@ saltedPad(std::uint64_t salt)
 
 } // namespace
 
-RecycledBuffer::RecycledBuffer(std::size_t size) : bytes(size)
+RecycledBuffer::RecycledBuffer(std::size_t size)
+    : bytes(size), dirtyIn(0), dirtyOut(size)
 {
     const std::uint64_t salt = perturb::salt();
 
@@ -60,19 +70,26 @@ RecycledBuffer::RecycledBuffer(std::size_t size) : bytes(size)
         auto pick = blocks.end() - 1 - static_cast<std::ptrdiff_t>(wanted);
         base = pick->base.release();
         mem = base + pick->pad;
+        dirtyIn = pick->dirty;
         blocks.erase(pick);
         return;
     }
 
+    // calloc: the block reads zero, and at stack and arena sizes glibc
+    // serves it from fresh mmap pages, so it costs only the pages its
+    // user touches.
     std::size_t pad = saltedPad(salt);
-    base = new unsigned char[size + pad];
+    base = static_cast<unsigned char *>(std::calloc(size + pad, 1));
+    if (!base)
+        throw std::bad_alloc();
     mem = base + pad;
 }
 
 RecycledBuffer::~RecycledBuffer()
 {
-    blockPool[bytes].push_back({std::unique_ptr<unsigned char[]>(base),
-                                static_cast<std::size_t>(mem - base)});
+    blockPool[bytes].push_back(
+        {std::unique_ptr<unsigned char, FreeBlock>(base),
+         static_cast<std::size_t>(mem - base), dirtyOut});
 }
 
 } // namespace unet::sim

@@ -13,6 +13,7 @@
 #ifndef UNET_SIM_POOL_HH
 #define UNET_SIM_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -84,8 +85,14 @@ class SlotRing
  * a page fault per touched page, and an munmap. Recycling the buffers
  * keeps the pages mapped and warm across simulations.
  *
- * The storage is NOT zeroed on acquisition — callers that need zeroed
- * contents (e.g. host::Memory) must clear it themselves.
+ * Contents follow a dirty-prefix contract. Only the first
+ * dirtyPrefix() bytes of a new buffer may be non-zero; every byte past
+ * them reads zero. A fresh block comes from calloc, so its dirty prefix
+ * is empty and its pages stay lazy until touched. A recycled block
+ * carries the prefix its previous user declared on release
+ * (declareDirty()); a user that declares nothing, such as a fiber
+ * stack, releases the whole block as dirty. Callers that need zeroed
+ * contents (host::Memory) clear only the dirty prefix.
  *
  * Under the UNET_PERTURB run mode (sim/perturb.hh) acquisition is
  * address-salted: reuse picks pseudo-randomly among the pooled blocks
@@ -108,10 +115,21 @@ class RecycledBuffer
     const unsigned char *data() const { return mem; }
     std::size_t size() const { return bytes; }
 
+    /** Leading bytes that may be non-zero on acquisition; the rest of
+     *  the buffer reads zero. */
+    std::size_t dirtyPrefix() const { return dirtyIn; }
+
+    /** Promise that on release only the first @p len bytes (clamped to
+     *  size()) may be non-zero. Without a call the whole buffer is
+     *  recorded as dirty. */
+    void declareDirty(std::size_t len) { dirtyOut = std::min(len, bytes); }
+
   private:
-    unsigned char *mem;  ///< usable storage (= base + salted pad)
-    unsigned char *base; ///< allocation origin, owned
-    std::size_t bytes;   ///< usable size (excludes the pad)
+    unsigned char *mem;   ///< usable storage (= base + salted pad)
+    unsigned char *base;  ///< calloc'd allocation origin, owned
+    std::size_t bytes;    ///< usable size (excludes the pad)
+    std::size_t dirtyIn;  ///< dirty prefix at acquisition
+    std::size_t dirtyOut; ///< dirty prefix recorded on release
 };
 
 } // namespace unet::sim

@@ -265,44 +265,36 @@ UNetFe::serviceSendQueue(sim::Process &proc, Endpoint &ep, bool coalesce)
         step(desc.trace, base, "Ethernet header set-up",
              _spec.txEthHeaderSetup, cost);
         std::uint32_t msg_len = desc.totalLength();
-        // Scoped so the heap buffer is freed before the cpu.busy()
-        // yields below: a fiber abandoned there (the explorer drops
-        // unfinished runs) must not hold it. Kept on the heap: a stack
-        // array shifted glibc's heap layout enough to double the page
-        // faults of the Table 1 wall-clock run.
-        std::size_t header_len = 0;
-        {
-            std::vector<std::uint8_t> header;
-            header.reserve(eth::Frame::headerBytes + unetHeaderBytes +
-                           _spec.extraHeaderBytes() + smallMessageMax);
-            const auto &dst = chan.remoteMac.raw();
-            const auto &src = _nic.address().raw();
-            header.insert(header.end(), dst.begin(), dst.end());
-            header.insert(header.end(), src.begin(), src.end());
-            header.push_back(
-                static_cast<std::uint8_t>(_spec.etherType >> 8));
-            header.push_back(static_cast<std::uint8_t>(_spec.etherType));
-            if (_spec.ipv4Encapsulation) {
-                // IPv4 header (contents unmodeled; sizing and cost are).
-                header.insert(header.end(), UNetFeSpec::ipv4HeaderBytes, 0);
-                cost += _spec.ipv4Cost;
-            }
-            header.push_back(chan.remotePort);          // dst U-Net port
-            header.push_back(state.port);               // src U-Net port
-            header.push_back(static_cast<std::uint8_t>(msg_len >> 8));
-            header.push_back(static_cast<std::uint8_t>(msg_len));
-            header.push_back(0);
-            header.push_back(0);
-
-            if (desc.isInline) {
-                // Small message: the kernel copies the payload into the
-                // header buffer (it arrived inline in the descriptor).
-                header.insert(header.end(), desc.inlineData.begin(),
-                              desc.inlineData.begin() + desc.inlineLength);
-                cost += cpu.spec().memcpyTime(desc.inlineLength);
-            }
-            mem.write(headerBufOffset[slot], header);
-            header_len = header.size();
+        // The header (and an inline payload) is built in place in this
+        // slot's kernel header buffer.
+        const std::size_t inline_len =
+            desc.isInline ? desc.inlineLength : 0;
+        const std::size_t header_len = eth::Frame::headerBytes +
+            _spec.extraHeaderBytes() + unetHeaderBytes + inline_len;
+        auto header = mem.region(headerBufOffset[slot], header_len);
+        auto out = header.begin();
+        const auto &dst = chan.remoteMac.raw();
+        const auto &src = _nic.address().raw();
+        out = std::copy(dst.begin(), dst.end(), out);
+        out = std::copy(src.begin(), src.end(), out);
+        *out++ = static_cast<std::uint8_t>(_spec.etherType >> 8);
+        *out++ = static_cast<std::uint8_t>(_spec.etherType);
+        if (_spec.ipv4Encapsulation) {
+            // IPv4 header (contents unmodeled; sizing and cost are).
+            out = std::fill_n(out, UNetFeSpec::ipv4HeaderBytes, 0);
+            cost += _spec.ipv4Cost;
+        }
+        *out++ = chan.remotePort;                     // dst U-Net port
+        *out++ = state.port;                          // src U-Net port
+        *out++ = static_cast<std::uint8_t>(msg_len >> 8);
+        *out++ = static_cast<std::uint8_t>(msg_len);
+        *out++ = 0;
+        *out++ = 0;
+        if (desc.isInline) {
+            // Small message: the kernel copies the payload into the
+            // header buffer (it arrived inline in the descriptor).
+            std::copy_n(desc.inlineData.begin(), inline_len, out);
+            cost += cpu.spec().memcpyTime(desc.inlineLength);
         }
 
         step(desc.trace, base, "device send ring descriptor set-up",

@@ -336,6 +336,65 @@ TEST(ActiveMessages, ChannelDiesAfterMaxRetries)
     EXPECT_EQ(p.amA->deadChannels(), 1u);
 }
 
+namespace {
+
+/** U-Net/FE whose device path reports one frame it never drains. */
+class StuckFe : public UNetFe
+{
+  public:
+    using UNetFe::UNetFe;
+
+    std::size_t txBacklog(const Endpoint &) const override { return 1; }
+};
+
+} // namespace
+
+TEST(ActiveMessages, ChannelDiesWhenDevicePathNeverDrains)
+{
+    // Every timeout finds the device path "still holding data", so the
+    // AM layer kicks it instead of retransmitting. The peer never
+    // acknowledges; the kicks must not go on forever.
+    sim::Simulation s;
+    eth::FullDuplexLink link(s);
+    topo::NodeSpec spec = topo::NodeSpec::numbered(0);
+    host::Host host(s, spec.name, spec.cpu, spec.bus);
+    nic::Dc21140 nic(host, link, eth::MacAddress::fromIndex(spec.mac));
+    StuckFe unet(host, nic);
+    FeNode peer(s, link, 1); // never polls, so never acknowledges
+
+    const AmSpec am_spec;
+    ChannelId chan = invalidChannel, peer_chan = invalidChannel;
+    bool last_accepted = true;
+    sim::Tick died_at = 0;
+    ActiveMessages *am = nullptr;
+    sim::Process proc(s, "A", [&](sim::Process &self) {
+        // A full window, then one more request that has to wait for a
+        // window slot the peer never frees.
+        for (std::size_t i = 0; i < am_spec.window; ++i)
+            EXPECT_TRUE(am->request(self, chan, 1, {}));
+        last_accepted = am->request(self, chan, 1, {});
+        died_at = s.now();
+    });
+    Endpoint &ep = unet.createEndpoint(&proc, EndpointConfig{});
+    Endpoint &peer_ep =
+        peer.unet.createEndpoint(nullptr, EndpointConfig{});
+    UNetFe::connect(unet, ep, peer.unet, peer_ep, chan, peer_chan);
+    ActiveMessages stuck_am(unet, ep, am_spec);
+    stuck_am.openChannel(chan);
+    am = &stuck_am;
+
+    proc.start();
+    s.runUntil(1_s);
+    ASSERT_TRUE(proc.finished()) << "request still blocked after 1 s";
+    EXPECT_FALSE(last_accepted);
+    EXPECT_EQ(stuck_am.deadChannels(), 1u);
+    // Bounded kicks, not retries: nothing was retransmitted, and the
+    // channel died after maxRetries + 1 base timeouts.
+    EXPECT_EQ(stuck_am.retransmits(), 0u);
+    EXPECT_LE(died_at,
+              (am_spec.maxRetries + 2) * am_spec.retransmitTimeout);
+}
+
 TEST(ActiveMessages, OneWayTrafficGetsExplicitAcks)
 {
     AmPair p;

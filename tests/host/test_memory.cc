@@ -1,11 +1,35 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "host/interrupts.hh"
 #include "host/memory.hh"
+#include "sim/pool.hh"
 #include "sim/simulation.hh"
 
 using namespace unet;
 using namespace unet::sim::literals;
+
+namespace {
+
+/** True if every byte of @p m reads zero. */
+bool
+readsZero(const host::Memory &m)
+{
+    auto all = m.region(0, m.size());
+    return std::all_of(all.begin(), all.end(),
+                       [](std::uint8_t b) { return b == 0; });
+}
+
+/** The arena's first byte: equal origins mean a recycled block. */
+const std::uint8_t *
+origin(const host::Memory &m)
+{
+    return m.region(0, 0).data();
+}
+
+} // namespace
 
 TEST(Memory, AllocAdvances)
 {
@@ -40,6 +64,58 @@ TEST(Memory, RegionIsLive)
     auto span = m.region(off, 4);
     span[0] = 0xAB;
     EXPECT_EQ(m.read(off, 1)[0], 0xAB);
+}
+
+// The pool is keyed by size only, so each contract test below uses a
+// size no other test in this binary allocates.
+
+TEST(Memory, RecycledArenaReadsZeroPastPreviousBrk)
+{
+    constexpr std::size_t size = 3 * 4096 + 64;
+    const std::uint8_t *first = nullptr;
+    {
+        host::Memory m(size);
+        first = origin(m);
+        std::size_t off = m.alloc(1000);
+        m.write(off, std::vector<std::uint8_t>(1000, 0xA5));
+    }
+    host::Memory m(size);
+    ASSERT_EQ(origin(m), first) << "the arena was not recycled";
+    EXPECT_TRUE(readsZero(m));
+}
+
+TEST(Memory, RecycledArenaReadsZeroAfterWritesPastBrk)
+{
+    // region() bounds-checks against the arena, not the bump pointer,
+    // so a user may dirty bytes it never allocated.
+    constexpr std::size_t size = 3 * 4096 + 128;
+    const std::uint8_t *first = nullptr;
+    {
+        host::Memory m(size);
+        first = origin(m);
+        m.alloc(64);
+        auto tail = m.region(size - 512, 512);
+        std::fill(tail.begin(), tail.end(), 0x5A);
+    }
+    host::Memory m(size);
+    ASSERT_EQ(origin(m), first) << "the arena was not recycled";
+    EXPECT_TRUE(readsZero(m));
+}
+
+TEST(Memory, ArenaReadsZeroAfterUndeclaredRawUse)
+{
+    // A fiber stack uses its block raw and declares nothing; an arena
+    // of the same size may be handed that block next.
+    constexpr std::size_t size = 3 * 4096 + 192;
+    const unsigned char *first = nullptr;
+    {
+        sim::RecycledBuffer raw(size);
+        first = raw.data();
+        std::memset(raw.data(), 0xEE, raw.size());
+    }
+    host::Memory m(size);
+    ASSERT_EQ(origin(m), first) << "the block was not recycled";
+    EXPECT_TRUE(readsZero(m));
 }
 
 TEST(MemoryDeathTest, OutOfBoundsPanics)

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "host/memory.hh"
 #include "sim/event.hh"
 #include "sim/perturb.hh"
 #include "sim/pool.hh"
@@ -239,4 +241,50 @@ TEST(Perturb, RecycledBuffersStayUsableUnderSalt)
         EXPECT_EQ(a.size(), 4096u);
         EXPECT_EQ(c.size(), 16384u);
     }
+}
+
+namespace {
+
+/**
+ * Dirty an arena of @p size through @p scribble, release it, and
+ * report whether the next arena of that size is the same block and
+ * reads zero everywhere. One block of this size is pooled, so even a
+ * salted pick must return it.
+ */
+void
+expectRecycledArenaZero(std::size_t size,
+                        void (*scribble)(unet::host::Memory &))
+{
+    const std::uint8_t *first = nullptr;
+    {
+        unet::host::Memory m(size);
+        first = m.region(0, 0).data();
+        scribble(m);
+    }
+    const unet::host::Memory m(size);
+    auto all = m.region(0, size);
+    ASSERT_EQ(all.data(), first) << "the arena was not recycled";
+    EXPECT_TRUE(std::all_of(all.begin(), all.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+}
+
+} // namespace
+
+TEST(Perturb, SaltedRecycledArenaReadsZeroPastPreviousBrk)
+{
+    perturb::ScopedSalt s(977);
+    expectRecycledArenaZero(5 * 4096 + 64, [](unet::host::Memory &m) {
+        std::size_t off = m.alloc(1000);
+        m.write(off, std::vector<std::uint8_t>(1000, 0xA5));
+    });
+}
+
+TEST(Perturb, SaltedRecycledArenaReadsZeroAfterWritesPastBrk)
+{
+    perturb::ScopedSalt s(978);
+    expectRecycledArenaZero(5 * 4096 + 128, [](unet::host::Memory &m) {
+        m.alloc(64);
+        auto tail = m.region(m.size() - 512, 512);
+        std::fill(tail.begin(), tail.end(), 0x5A);
+    });
 }
